@@ -30,9 +30,8 @@
 
 use gridtuner_bench::kernel_timing::time_kernels;
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::City;
-use gridtuner_engine::{EngineConfig, TuningSession};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs as obs;
 use gridtuner_obs::json::{parse_jsonl, Val};
 use rand::{rngs::StdRng, SeedableRng};
@@ -170,23 +169,20 @@ fn measure(scale: f64, inject_kernel_slowdown: f64) -> Fresh {
         window.day_start..window.day_end,
         &mut rng,
     );
-    let cfg = TunerConfig {
+    let cfg = EngineConfig {
         strategy: SearchStrategy::BruteForce,
         alpha_window: window,
-        ..TunerConfig::default()
+        clock,
+        ..EngineConfig::default()
     };
     let model = |s: u32| (s * s) as f64 * 0.05;
-    let engine_cfg = EngineConfig {
-        clock,
-        ..EngineConfig::from_tuner(cfg)
-    };
 
     obs::enable();
     obs::reset();
     let prev_threads = gridtuner_par::max_threads();
     gridtuner_par::set_max_threads(1);
     let t = Instant::now();
-    let mut session = TuningSession::new(engine_cfg, model).expect("valid bench config");
+    let mut session = TuningSession::new(cfg, model).expect("valid bench config");
     session.ingest(&events).expect("finite synthetic events");
     let result = session.tune_parallel().expect("infallible model leg");
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;

@@ -19,11 +19,11 @@
 //! `GRIDTUNER_OBS_MAX_OVERHEAD_PCT`.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{GridTuner, SearchStrategy, TunerConfig};
 use gridtuner_datagen::City;
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
-use gridtuner_spatial::{Event, SlotClock};
+use gridtuner_spatial::Event;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 
@@ -33,12 +33,15 @@ use std::time::Instant;
 const BENCH_SCHEMA: &str = "gridtuner.bench_obs/2";
 const DEFAULT_MAX_OVERHEAD_PCT: f64 = 3.0;
 
-/// One full brute-force tune — the instrumented hot path (alpha scan,
-/// per-probe spans/events, expression-error spans). Returns wall seconds.
-fn run_once(events: &[Event], clock: SlotClock, cfg: &TunerConfig) -> f64 {
-    let tuner = GridTuner::new(*cfg);
+/// One full brute-force session tune — the instrumented hot path (alpha
+/// scan, per-probe spans/events, expression-error spans). Returns wall
+/// seconds.
+fn run_once(events: &[Event], cfg: &EngineConfig) -> f64 {
     let t0 = Instant::now();
-    let result = tuner.tune(events, clock, |s: u32| (s * s) as f64 * 0.05);
+    let mut session = TuningSession::new(*cfg, |s: u32| (s * s) as f64 * 0.05)
+        .expect("benchmark config is valid");
+    session.ingest(events).expect("synthetic events are finite");
+    let result = session.tune().expect("analytic model leg");
     let dt = t0.elapsed().as_secs_f64();
     assert!(result.outcome.side >= cfg.side_range.0, "sanity");
     dt
@@ -49,13 +52,7 @@ fn run_once(events: &[Event], clock: SlotClock, cfg: &TunerConfig) -> f64 {
 /// any linear wall-clock drift lands evenly on both modes. Returns the
 /// summed (off, on) seconds. Aggregated obs state is cleared up front so
 /// the retained-event ring stays comparable across reps.
-fn paired_rep(
-    events: &[Event],
-    clock: SlotClock,
-    cfg: &TunerConfig,
-    inner: u32,
-    rep: u32,
-) -> (f64, f64) {
+fn paired_rep(events: &[Event], cfg: &EngineConfig, inner: u32, rep: u32) -> (f64, f64) {
     obs::disable();
     obs::reset();
     let mut off = 0.0;
@@ -66,7 +63,7 @@ fn paired_rep(
         } else {
             obs::disable();
         }
-        run_once(events, clock, cfg)
+        run_once(events, cfg)
     };
     for k in 0..inner {
         if (rep + k).is_multiple_of(2) {
@@ -115,11 +112,12 @@ fn main() {
         window.day_start..window.day_end,
         &mut rng,
     );
-    let cfg = TunerConfig {
+    let cfg = EngineConfig {
         strategy: SearchStrategy::BruteForce,
         alpha_window: window,
         side_range: (2, 32),
-        ..TunerConfig::default()
+        clock,
+        ..EngineConfig::default()
     };
     eprintln!(
         "[obs_bench] {} events, sides {}..={}, {reps} reps per mode",
@@ -133,13 +131,13 @@ fn main() {
     // ratio. The reported overhead is the median ratio, which shrugs off
     // the multi-percent wall-clock swings shared runners show between any
     // two absolute measurements.
-    run_once(&events, clock, &cfg);
+    run_once(&events, &cfg);
     let inner = parse_flag(&args, "--inner").unwrap_or(25.0).max(1.0) as u32;
     let mut ratios = Vec::with_capacity(reps as usize);
     let mut off_s = f64::INFINITY;
     let mut on_s = f64::INFINITY;
     for rep in 0..reps {
-        let (off, on) = paired_rep(&events, clock, &cfg, inner, rep);
+        let (off, on) = paired_rep(&events, &cfg, inner, rep);
         ratios.push(on / off);
         off_s = off_s.min(off);
         on_s = on_s.min(on);
@@ -227,17 +225,23 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(3);
         let events = city.sample_history_events(16, 0..7, &mut rng);
-        let cfg = TunerConfig {
+        let cfg = EngineConfig {
             strategy: SearchStrategy::BruteForce,
             alpha_window: window,
             side_range: (2, 8),
             hgrid_budget_side: 16,
+            clock,
+            ..EngineConfig::default()
         };
-        let model = |s: u32| (s * s) as f64 * 0.1;
+        let tune = || {
+            let mut session = TuningSession::new(cfg, |s: u32| (s * s) as f64 * 0.1).unwrap();
+            session.ingest(&events).unwrap();
+            session.tune().unwrap()
+        };
         obs::disable();
-        let off = GridTuner::new(cfg).tune(&events, clock, model);
+        let off = tune();
         obs::enable();
-        let on = GridTuner::new(cfg).tune(&events, clock, model);
+        let on = tune();
         obs::disable();
         assert_eq!(off.outcome.side, on.outcome.side);
         assert_eq!(off.outcome.error.to_bits(), on.outcome.error.to_bits());

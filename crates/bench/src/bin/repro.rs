@@ -14,6 +14,7 @@
 //! `OBSERVABILITY.md`.
 
 use gridtuner_bench::{experiments as ex, RunCfg};
+use gridtuner_core::error::CoreError;
 use gridtuner_obs as obs;
 use std::time::Instant;
 
@@ -51,12 +52,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn run_one(id: &str, cfg: &RunCfg) {
+fn run_one(id: &str, cfg: &RunCfg) -> Result<(), CoreError> {
     let t0 = Instant::now();
     match id {
-        "fig3" => ex::fig3::run(cfg),
-        "fig4" => ex::fig4::run(cfg),
-        "fig5" => ex::fig5::run(cfg),
+        "fig3" => ex::fig3::run(cfg)?,
+        "fig4" => ex::fig4::run(cfg)?,
+        "fig5" => ex::fig5::run(cfg)?,
         "fig6" => ex::task_assignment::run_city(cfg, 0, "fig6"),
         "fig7" => ex::task_assignment::run_city(cfg, 1, "fig7"),
         "fig8" => ex::task_assignment::run_city(cfg, 2, "fig8"),
@@ -65,13 +66,13 @@ fn run_one(id: &str, cfg: &RunCfg) {
         "fig11" => ex::fig10_11::run_fig11(cfg),
         "fig13" => ex::fig13::run(cfg),
         "fig14" => ex::fig14::run(cfg),
-        "fig15" => ex::fig15::run(cfg),
+        "fig15" => ex::fig15::run(cfg)?,
         "fig16" => ex::fig16::run(cfg),
-        "fig17" => ex::search_experiments::run_fig17(cfg),
-        "fig18" => ex::search_experiments::run_fig18(cfg),
+        "fig17" => ex::search_experiments::run_fig17(cfg)?,
+        "fig18" => ex::search_experiments::run_fig18(cfg)?,
         "fig19" => ex::fig19::run(cfg),
-        "tab3" => ex::tab3::run(cfg),
-        "tab4" => ex::search_experiments::run_tab4(cfg),
+        "tab3" => ex::tab3::run(cfg)?,
+        "tab4" => ex::search_experiments::run_tab4(cfg)?,
         "abl-matching" => ex::ablations::run_matching(cfg),
         "abl-reposition" => ex::ablations::run_reposition(cfg),
         "abl-kselect" => ex::ablations::run_kselect(cfg),
@@ -82,6 +83,7 @@ fn run_one(id: &str, cfg: &RunCfg) {
     }
     eprintln!("[{id} done in {:.1?}]", t0.elapsed());
     println!();
+    Ok(())
 }
 
 /// Parses `<id> [--quick] [--scale X] [--seed S] [--city C] [--report]`
@@ -149,12 +151,16 @@ fn main() {
     if report {
         obs::enable();
     }
-    if id == "all" {
-        for id in IDS {
-            run_one(id, &cfg);
-        }
+    let ids: Vec<&str> = if id == "all" {
+        IDS.to_vec()
     } else {
-        run_one(&id, &cfg);
+        vec![id.as_str()]
+    };
+    for id in ids {
+        if let Err(e) = run_one(id, &cfg) {
+            eprintln!("{id}: {e}");
+            std::process::exit(1);
+        }
     }
     if obs::enabled() {
         let run_report = obs::report::RunReport::capture();

@@ -23,9 +23,8 @@
 //! ```
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::City;
-use gridtuner_engine::{BootstrapConfig, EngineConfig, TuningSession};
+use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs::json::Val;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -88,14 +87,13 @@ fn run_regime(scale: f64, replicates: u32, phi: f64, drift: (f64, f64)) -> Val {
     let mut rng = StdRng::seed_from_u64(SEED);
     let events = city.sample_history_events(window.slot_of_day, 0..window.day_end, &mut rng);
     let cfg = EngineConfig {
+        hgrid_budget_side: 32,
+        side_range: (2, 24),
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: window,
         clock: *city.clock(),
         bootstrap: Some(BootstrapConfig::new(replicates, SEED)),
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: 32,
-            side_range: (2, 24),
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: window,
-        })
+        ..EngineConfig::default()
     };
     let model = |s: u32| 0.05 * (s * s) as f64;
     let t0 = Instant::now();

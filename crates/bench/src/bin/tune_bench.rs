@@ -55,9 +55,8 @@ use gridtuner_bench::kernel_timing::{time_kernels, time_simd};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::estimate_alpha;
 use gridtuner_core::expression::expression_error_windowed;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::City;
-use gridtuner_engine::{EngineConfig, TuningSession};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
 use gridtuner_spatial::{Event, Partition, SlotClock};
@@ -209,10 +208,11 @@ fn main() {
         window.day_start..window.day_end,
         &mut rng,
     );
-    let cfg = TunerConfig {
+    let cfg = EngineConfig {
         strategy: SearchStrategy::BruteForce,
         alpha_window: window,
-        ..TunerConfig::default()
+        clock,
+        ..EngineConfig::default()
     };
     let model = |s: u32| (s * s) as f64 * 0.05;
     eprintln!(
@@ -247,12 +247,8 @@ fn main() {
     // Under --profile, capture the sweep's JSONL trace in memory and feed
     // it to the profile analyzer (replaces any GRIDTUNER_TRACE sink).
     let profile_buf = args.profile.then(obs::trace::capture_to_buffer);
-    let engine_cfg = EngineConfig {
-        clock,
-        ..EngineConfig::from_tuner(cfg)
-    };
     let t1 = Instant::now();
-    let mut session = TuningSession::new(engine_cfg, model).expect("valid bench config");
+    let mut session = TuningSession::new(cfg, model).expect("valid bench config");
     session.ingest(&events).expect("finite synthetic events");
     let result = session.tune_parallel().expect("infallible model leg");
     let wall_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -343,11 +339,11 @@ fn main() {
     let mut sweep_last = f64::NAN;
     for threads in THREAD_SWEEP {
         gridtuner_par::set_max_threads(threads);
-        let mut warm = TuningSession::new(engine_cfg, model).expect("valid bench config");
+        let mut warm = TuningSession::new(cfg, model).expect("valid bench config");
         warm.ingest(&events).expect("finite synthetic events");
         warm.tune_parallel().expect("infallible model leg");
         let ts = Instant::now();
-        let mut sweep = TuningSession::new(engine_cfg, model).expect("valid bench config");
+        let mut sweep = TuningSession::new(cfg, model).expect("valid bench config");
         sweep.ingest(&events).expect("finite synthetic events");
         let r = sweep.tune_parallel().expect("infallible model leg");
         let ms = ts.elapsed().as_secs_f64() * 1e3;
@@ -650,13 +646,12 @@ mod tests {
             "one scan per probe"
         );
         let engine_cfg = EngineConfig {
+            hgrid_budget_side: budget,
+            side_range: range,
+            strategy: SearchStrategy::BruteForce,
+            alpha_window: window,
             clock,
-            ..EngineConfig::from_tuner(TunerConfig {
-                hgrid_budget_side: budget,
-                side_range: range,
-                strategy: SearchStrategy::BruteForce,
-                alpha_window: window,
-            })
+            ..EngineConfig::default()
         };
         let mut session = TuningSession::new(engine_cfg, model).unwrap();
         session.ingest(&events).unwrap();

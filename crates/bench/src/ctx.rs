@@ -3,8 +3,9 @@
 
 use crate::RunCfg;
 use gridtuner_core::alpha::AlphaWindow;
+use gridtuner_core::error::CoreError;
 use gridtuner_core::errors::{evaluate_errors, ErrorReport, ErrorSample};
-use gridtuner_core::expression::total_expression_error;
+use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_datagen::{City, DataSplit, TripGenerator};
 use gridtuner_dispatch::{DemandView, Order};
 use gridtuner_predict::{DeepStLike, DmvstLike, HistoricalAverage, Mlp, Predictor, TrainConfig};
@@ -120,7 +121,7 @@ pub fn evaluate_side(
     data: &SideData,
     kind: ModelKind,
     cfg: &RunCfg,
-) -> (ErrorReport, f64) {
+) -> Result<(ErrorReport, f64), CoreError> {
     let clock = *city.clock();
     let split = harness_split();
     let mut model = kind.build(cfg);
@@ -141,19 +142,16 @@ pub fn evaluate_side(
             }
         })
         .collect();
-    let report = evaluate_errors(&samples, &data.partition).expect("consistent lattices");
+    let report = evaluate_errors(&samples, &data.partition)?;
     // Analytic expression error from the true mean field, averaged over
     // the same slots.
-    let analytic: f64 = eval_sods
-        .iter()
-        .map(|&sod| {
-            let slot = clock.slot_at(split.test_day, sod);
-            let alpha = city.mean_field(data.partition.hgrid_spec(), slot);
-            total_expression_error(&alpha, &data.partition)
-        })
-        .sum::<f64>()
-        / eval_sods.len() as f64;
-    (report, analytic)
+    let mut analytic = 0.0;
+    for &sod in eval_sods {
+        let slot = clock.slot_at(split.test_day, sod);
+        let alpha = city.mean_field(data.partition.hgrid_spec(), slot);
+        analytic += try_partition_expression_error(&alpha, &data.partition, None)?;
+    }
+    Ok((report, analytic / eval_sods.len() as f64))
 }
 
 /// The paper's α-estimation window for a given slot-of-day over the

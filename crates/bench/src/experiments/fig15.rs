@@ -8,12 +8,13 @@
 
 use crate::ctx::{evaluate_side, harness_split, ModelKind};
 use crate::{fmt, header, RunCfg};
+use gridtuner_core::error::CoreError;
 use gridtuner_datagen::City;
 use gridtuner_spatial::Partition;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Runs the Fig. 15 sweep: side fixed at 16, `m = q²` growing.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> Result<(), CoreError> {
     let side = 16u32;
     let qs = cfg.sweep(&[1u32, 2, 3, 4, 6, 8], &[1u32, 4, 8]);
     let split = harness_split();
@@ -36,7 +37,7 @@ pub fn run(cfg: &RunCfg) {
             hgrid,
             mgrid,
         };
-        let (report, _) = evaluate_side(&city, &data, ModelKind::Ha, cfg);
+        let (report, _) = evaluate_side(&city, &data, ModelKind::Ha, cfg)?;
         println!(
             "{q}\t{}\t{}\t{}\t{}\t{}",
             q as u64 * q as u64,
@@ -46,4 +47,5 @@ pub fn run(cfg: &RunCfg) {
             fmt(report.real),
         );
     }
+    Ok(())
 }

@@ -6,14 +6,15 @@
 
 use crate::{fmt, header, RunCfg};
 use gridtuner_core::alpha::estimate_alpha;
-use gridtuner_core::expression::total_expression_error;
+use gridtuner_core::error::CoreError;
+use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_spatial::Partition;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Runs the Fig. 3 sweep. Uses the paper's full volumes (no model training
 /// is involved) and the paper-faithful α estimate: the average of the
 /// 8:00–8:30 slot over four weeks of sampled history.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> Result<(), CoreError> {
     let budget = if cfg.quick { 64 } else { 128 };
     let sides = cfg.sweep(
         &[4u32, 8, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64, 76],
@@ -45,8 +46,11 @@ pub fn run(cfg: &RunCfg) {
                 city.clock(),
                 &crate::ctx::alpha_window(16),
             );
-            row.push(fmt(total_expression_error(&alpha, &partition)));
+            row.push(fmt(try_partition_expression_error(
+                &alpha, &partition, None,
+            )?));
         }
         println!("{}", row.join("\t"));
     }
+    Ok(())
 }

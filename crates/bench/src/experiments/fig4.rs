@@ -6,9 +6,10 @@
 
 use crate::ctx::{evaluate_side, harness_split, sample_side_data, ModelKind};
 use crate::{fmt, header, RunCfg};
+use gridtuner_core::error::CoreError;
 
 /// Runs the Fig. 4 sweep.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> Result<(), CoreError> {
     let budget = 64;
     let sides = cfg.sweep(&[4u32, 8, 12, 16, 24, 32], &[4u32, 16]);
     let split = harness_split();
@@ -33,10 +34,11 @@ pub fn run(cfg: &RunCfg) {
                 ModelKind::DeepSt,
                 ModelKind::Dmvst,
             ] {
-                let (report, _) = evaluate_side(&city, &data, kind, cfg);
+                let (report, _) = evaluate_side(&city, &data, kind, cfg)?;
                 row.push(fmt(report.model));
             }
             println!("{}", row.join("\t"));
         }
     }
+    Ok(())
 }

@@ -5,9 +5,10 @@
 
 use crate::ctx::{evaluate_side, harness_split, sample_side_data, ModelKind};
 use crate::{fmt, header, RunCfg};
+use gridtuner_core::error::CoreError;
 
 /// Runs the Fig. 5 sweep.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> Result<(), CoreError> {
     let budget = 64;
     let sides = cfg.sweep(&[2u32, 4, 8, 12, 16, 24, 32, 48, 64], &[2u32, 8, 24]);
     let split = harness_split();
@@ -36,7 +37,7 @@ pub fn run(cfg: &RunCfg) {
         for &side in sides {
             let data = sample_side_data(&city, side, budget, &split, cfg.seed);
             for &kind in kinds {
-                let (report, analytic) = evaluate_side(&city, &data, kind, cfg);
+                let (report, analytic) = evaluate_side(&city, &data, kind, cfg)?;
                 println!(
                     "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
                     city.name(),
@@ -52,4 +53,5 @@ pub fn run(cfg: &RunCfg) {
             }
         }
     }
+    Ok(())
 }

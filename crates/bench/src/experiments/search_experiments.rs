@@ -13,7 +13,8 @@
 
 use crate::ctx::{harness_split, sample_side_data};
 use crate::{fmt, header, RunCfg};
-use gridtuner_core::expression::total_expression_error;
+use gridtuner_core::error::CoreError;
+use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_core::search::{brute_force, iterative_method, ternary_search, SearchOutcome};
 use gridtuner_datagen::City;
 use gridtuner_predict::{HistoricalAverage, Predictor};
@@ -43,7 +44,13 @@ impl SlotCurves {
 /// paper's U-shape lives): HA model error per (side, slot-of-day) on
 /// validation days + analytic expression error from the true mean field.
 #[allow(clippy::needless_range_loop)] // `sod` also drives slot arithmetic
-pub fn build_curves(city: &City, cfg: &RunCfg, budget: u32, lo: u32, hi: u32) -> SlotCurves {
+pub fn build_curves(
+    city: &City,
+    cfg: &RunCfg,
+    budget: u32,
+    lo: u32,
+    hi: u32,
+) -> Result<SlotCurves, CoreError> {
     let clock = *city.clock();
     let split = harness_split();
     let spd = clock.slots_per_day() as usize;
@@ -76,18 +83,18 @@ pub fn build_curves(city: &City, cfg: &RunCfg, budget: u32, lo: u32, hi: u32) ->
                 data.partition.hgrid_spec(),
                 clock.slot_at(split.val_days.0, sod as u32),
             );
-            let expr = total_expression_error(&alpha, &data.partition);
+            let expr = try_partition_expression_error(&alpha, &data.partition, None)?;
             curves[sod][(side - lo) as usize] = model_err + expr;
         }
         t_eval_s += t0.elapsed().as_secs_f64() / spd as f64;
     }
     t_eval_s /= (hi - lo + 1) as f64;
-    SlotCurves {
+    Ok(SlotCurves {
         lo,
         hi,
         curves,
         t_eval_s,
-    }
+    })
 }
 
 struct AlgoStats {
@@ -134,7 +141,7 @@ fn budget() -> u32 {
 }
 
 /// Table IV.
-pub fn run_tab4(cfg: &RunCfg) {
+pub fn run_tab4(cfg: &RunCfg) -> Result<(), CoreError> {
     let (lo, hi) = range(cfg);
     header(
         "tab4",
@@ -149,7 +156,7 @@ pub fn run_tab4(cfg: &RunCfg) {
         ],
     );
     for city in cfg.city_sweep() {
-        let sc = build_curves(&city, cfg, budget(), lo, hi);
+        let sc = build_curves(&city, cfg, budget(), lo, hi)?;
         let spd = sc.curves.len();
         let mut bf = AlgoStats::new();
         let mut ts = AlgoStats::new();
@@ -172,10 +179,11 @@ pub fn run_tab4(cfg: &RunCfg) {
             );
         }
     }
+    Ok(())
 }
 
 /// Fig. 17 — the Iterative Method's bound vs probability and cost.
-pub fn run_fig17(cfg: &RunCfg) {
+pub fn run_fig17(cfg: &RunCfg) -> Result<(), CoreError> {
     let (lo, hi) = range(cfg);
     header(
         "fig17",
@@ -183,7 +191,7 @@ pub fn run_fig17(cfg: &RunCfg) {
         &["bound", "probability", "evals_total", "est_cost_s"],
     );
     let city = City::nyc();
-    let sc = build_curves(&city, cfg, budget(), lo, hi);
+    let sc = build_curves(&city, cfg, budget(), lo, hi)?;
     let spd = sc.curves.len();
     let bounds: &[u32] = if cfg.quick {
         &[1, 4, 8]
@@ -205,10 +213,11 @@ pub fn run_fig17(cfg: &RunCfg) {
             fmt(st.evals as f64 * sc.t_eval_s),
         );
     }
+    Ok(())
 }
 
 /// Fig. 18 — distribution of the optimal side over the 48 slots of a day.
-pub fn run_fig18(cfg: &RunCfg) {
+pub fn run_fig18(cfg: &RunCfg) -> Result<(), CoreError> {
     let (lo, hi) = range(cfg);
     header(
         "fig18",
@@ -216,7 +225,7 @@ pub fn run_fig18(cfg: &RunCfg) {
         &["side", "n", "slots_with_this_optimum"],
     );
     let city = City::nyc();
-    let sc = build_curves(&city, cfg, budget(), lo, hi);
+    let sc = build_curves(&city, cfg, budget(), lo, hi)?;
     let mut hist = vec![0usize; (hi - lo + 1) as usize];
     for sod in 0..sc.curves.len() {
         let best = brute_force(sc.oracle(sod), lo, hi);
@@ -228,4 +237,5 @@ pub fn run_fig18(cfg: &RunCfg) {
             println!("{side}\t{}\t{count}", side as u64 * side as u64);
         }
     }
+    Ok(())
 }

@@ -9,6 +9,7 @@
 use crate::ctx::{cities, test_day_orders, ModelKind, PredictedDemand};
 use crate::experiments::search_experiments::build_curves;
 use crate::{fmt, header, RunCfg};
+use gridtuner_core::error::CoreError;
 use gridtuner_core::search::brute_force;
 use gridtuner_datagen::City;
 use gridtuner_dispatch::daif::DaifConfig;
@@ -24,13 +25,13 @@ fn improvement(new: f64, old: f64) -> f64 {
 }
 
 /// Runs Table III.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> Result<(), CoreError> {
     let budget = 128;
     let (lo, hi) = if cfg.quick { (4, 16) } else { (4, 50) };
     let city = cities(cfg).remove(0); // NYC, dispatch scale
                                       // GridTuner's optimal side for the morning-peak slot, from the
                                       // full-volume error curves (the paper tunes on the real dataset).
-    let sc = build_curves(&City::nyc(), cfg, budget, lo, hi);
+    let sc = build_curves(&City::nyc(), cfg, budget, lo, hi)?;
     let best = brute_force(sc.oracle(16), lo, hi);
     let optimal = best.side;
     let orders = test_day_orders(&city, cfg.seed ^ 0x7ab3);
@@ -128,4 +129,5 @@ pub fn run(cfg: &RunCfg) {
         daif_opt.served,
         fmt(improvement(daif_opt.served as f64, daif_orig.served as f64))
     );
+    Ok(())
 }

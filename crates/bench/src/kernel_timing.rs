@@ -19,8 +19,8 @@
 //! being served from the cross-probe pmf memo.
 
 use gridtuner_core::alpha_cache::AlphaFieldCache;
-use gridtuner_core::expression::total_expression_error_percell;
 use gridtuner_spatial::Partition;
+use gridtuner_testkit::reference::expression_error_percell;
 use std::time::Instant;
 
 /// Minima over `reps` interleaved passes, plus the (bit-compared
@@ -65,7 +65,7 @@ pub fn time_kernels(
             let part = Partition::for_budget(s, budget);
             let t = Instant::now();
             percell_total += cache.with_alpha(part.hgrid_spec(), |alpha| {
-                total_expression_error_percell(alpha, &part)
+                expression_error_percell(alpha, &part)
             });
             percell_ms += t.elapsed().as_secs_f64() * 1e3;
             let t = Instant::now();
@@ -136,13 +136,13 @@ pub fn time_simd(cache: &AlphaFieldCache, probed: &[u32], budget: u32, reps: usi
             gridtuner_core::set_simd_enabled(true);
             let t = Instant::now();
             vector_total += cache.with_alpha(part.hgrid_spec(), |alpha| {
-                total_expression_error_percell(alpha, &part)
+                expression_error_percell(alpha, &part)
             });
             vector_ms += t.elapsed().as_secs_f64() * 1e3;
             gridtuner_core::set_simd_enabled(false);
             let t = Instant::now();
             scalar_total += cache.with_alpha(part.hgrid_spec(), |alpha| {
-                total_expression_error_percell(alpha, &part)
+                expression_error_percell(alpha, &part)
             });
             scalar_ms += t.elapsed().as_secs_f64() * 1e3;
         }

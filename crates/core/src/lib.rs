@@ -31,10 +31,13 @@
 //!   prediction–actual pairs (Definitions 3–5);
 //! * [`resample`] — seeded splitmix64 bootstrap resampling of the event
 //!   log, feeding the engine's uncertainty stage;
-//! * [`upper_bound`] — Algorithm 3 (`UpperBound(n, N, X, Model)`);
+//! * [`upper_bound`] — the model leg of Algorithm 3
+//!   (`UpperBound(n, N, X, Model)`);
 //! * [`search`] — Brute-force, Ternary Search (Algorithm 4) and the
-//!   Iterative Method (Algorithm 5) over the upper bound;
-//! * [`tuner`] — the `GridTuner` facade that wires the above together.
+//!   Iterative Method (Algorithm 5) over the upper bound.
+//!
+//! The engine's `TuningSession` wires these together into the paper's
+//! end-to-end workflow.
 
 // Library code must not panic on fallible paths; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -52,7 +55,6 @@ pub mod poisson;
 pub mod resample;
 pub mod search;
 pub mod simd;
-pub mod tuner;
 pub mod upper_bound;
 
 pub use alpha::estimate_alpha;
@@ -63,9 +65,7 @@ pub use errors::ErrorReport;
 pub use expr_kernel::{dedup_groups, ExprWorkspace, PmfMemo, PmfTable};
 pub use expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
-    expression_error_windowed, mgrid_expression_error, partition_expression_error_seq,
-    total_expression_error, total_expression_error_memo, total_expression_error_percell,
-    total_expression_error_seq, try_partition_expression_error, try_total_expression_error,
+    expression_error_windowed, mgrid_expression_error, try_partition_expression_error,
 };
 pub use kselect::{recommended_k, truncation_error_bound};
 pub use resample::{replicate_seed, resample_events, splitmix64, ReplicateRng};
@@ -75,7 +75,4 @@ pub use search::{
     SearchOutcome, SyncErrorOracle,
 };
 pub use simd::{env_simd_override, set_simd_enabled, simd_enabled, SimdBackend};
-pub use tuner::{GridTuner, TunerConfig, TunerResult};
-pub use upper_bound::{
-    InfallibleSource, ModelErrorFn, ModelErrorSource, SyncModelErrorSource, UpperBoundOracle,
-};
+pub use upper_bound::{ModelErrorSource, SyncModelErrorSource};

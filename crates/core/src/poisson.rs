@@ -101,18 +101,6 @@ pub fn poisson_pmf(lambda: f64, k: u64) -> f64 {
     poisson_ln_pmf(lambda, k).exp()
 }
 
-/// Poisson pmf over the inclusive range `lo..=hi`, computed stably for any
-/// mean: up to four entries on each side of the (clamped) mode are seeded
-/// in log space, then the stride-4 recurrence `p(k±4) = p(k)·λ⁴∕…` fills
-/// the rest in four independent lanes. Values that underflow far in the
-/// tails become `0.0`, which is the correct limit.
-#[deprecated(note = "allocates a fresh Vec per call; use poisson_pmf_into with a reused buffer")]
-pub fn poisson_pmf_range(lambda: f64, lo: u64, hi: u64) -> Vec<f64> {
-    let mut out = Vec::new();
-    poisson_pmf_into(lambda, lo, hi, &mut out);
-    out
-}
-
 /// Buffer-reusing pmf window fill: clears `out` and fills it with the pmf
 /// over `lo..=hi`, reallocating only when the window outgrows the
 /// buffer's capacity — the batched expression-error kernel leans on that.
@@ -341,8 +329,7 @@ pub fn mass_window(lambda: f64, pad: u64) -> (u64, u64) {
 mod tests {
     use super::*;
 
-    /// Test-local allocating wrapper (the public allocating form is
-    /// deprecated; its one remaining in-tree caller is the pin below).
+    /// A pmf window filled into a fresh `Vec`.
     fn pmf_range(lambda: f64, lo: u64, hi: u64) -> Vec<f64> {
         let mut out = Vec::new();
         poisson_pmf_into(lambda, lo, hi, &mut out);
@@ -396,17 +383,23 @@ mod tests {
         }
     }
 
+    fn assert_bitwise_eq(a: &[f64], b: &[f64]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn pmf_into_reuses_capacity_and_matches_allocating_form() {
         let mut buf = Vec::new();
         poisson_pmf_into(40.0, 0, 120, &mut buf);
-        assert_eq!(buf, poisson_pmf_range(40.0, 0, 120));
+        assert_bitwise_eq(&buf, &pmf_range(40.0, 0, 120));
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
         // A smaller window must reuse the allocation…
         poisson_pmf_into(3.0, 0, 30, &mut buf);
-        assert_eq!(buf, poisson_pmf_range(3.0, 0, 30));
+        assert_bitwise_eq(&buf, &pmf_range(3.0, 0, 30));
         assert_eq!(buf.capacity(), cap, "capacity must be reused");
         assert_eq!(buf.as_ptr(), ptr, "buffer must not be reallocated");
         // …including the degenerate λ = 0 window.

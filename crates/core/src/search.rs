@@ -26,11 +26,7 @@ impl<F: FnMut(u32) -> f64> ErrorOracle for F {
 }
 
 /// A thread-safe error oracle: evaluation through `&self`, so a sweep can
-/// probe many sides concurrently. Implemented by [`UpperBoundOracle`] when
-/// its model leg is a `Fn + Sync` closure, and by any such closure
-/// directly.
-///
-/// [`UpperBoundOracle`]: crate::upper_bound::UpperBoundOracle
+/// probe many sides concurrently. Implemented by any `Fn + Sync` closure.
 pub trait SyncErrorOracle: Sync {
     /// Evaluates `e(s)`.
     fn eval_sync(&self, side: u32) -> f64;

@@ -3,11 +3,11 @@
 //! 1. the α field derived from an [`AlphaFieldCache`] digest is
 //!    **bit-identical** to [`estimate_alpha`] over the raw event log, for
 //!    arbitrary logs, windows and probed lattice sides;
-//! 2. the parallel expression-error reduction agrees with the sequential
-//!    reference to 1e-12 relative.
+//! 2. the parallel expression-error reduction is bit-identical to the
+//!    same sweep run on one worker.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::expression::{total_expression_error, total_expression_error_seq};
+use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_core::{estimate_alpha, AlphaFieldCache};
 use gridtuner_spatial::{Event, GridSpec, Partition, Point, SlotClock};
 use proptest::prelude::*;
@@ -75,10 +75,15 @@ proptest! {
         };
         let part = Partition::for_budget(side, budget);
         let alpha = estimate_alpha(&events, part.hgrid_spec(), &clock, &window);
-        let par = total_expression_error(&alpha, &part);
-        let seq = total_expression_error_seq(&alpha, &part);
-        assert!(
-            (par - seq).abs() <= 1e-12 * (1.0 + seq.abs()),
+        let threads = gridtuner_par::max_threads();
+        gridtuner_par::set_max_threads(4);
+        let par = try_partition_expression_error(&alpha, &part, None).unwrap();
+        gridtuner_par::set_max_threads(1);
+        let seq = try_partition_expression_error(&alpha, &part, None).unwrap();
+        gridtuner_par::set_max_threads(threads);
+        assert_eq!(
+            par.to_bits(),
+            seq.to_bits(),
             "parallel {par} vs sequential {seq} (side {side}, budget {budget})"
         );
     }

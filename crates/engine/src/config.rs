@@ -1,18 +1,32 @@
 //! The unified, validated engine configuration.
 //!
-//! One struct subsumes the knobs previously scattered across
-//! [`TunerConfig`], [`AlphaWindow`], [`SimConfig`] and `FleetConfig`
-//! (which travels inside the sim config): a session is constructed from a
-//! single [`EngineConfig`], and every invariant the old facades asserted
-//! at call time is checked once, up front, by the builder — returning a
-//! typed [`EngineError::Config`] instead of panicking mid-pipeline.
+//! One struct holds the search, [`AlphaWindow`], [`SimConfig`] and
+//! `FleetConfig` (which travels inside the sim config) knobs: a session is
+//! constructed from a single [`EngineConfig`], and every invariant is
+//! checked once, up front, by the builder — returning a typed
+//! [`EngineError::Config`] instead of panicking mid-pipeline.
 
 use crate::error::EngineError;
 use crate::uncertainty::BootstrapConfig;
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_dispatch::SimConfig;
 use gridtuner_spatial::SlotClock;
+
+/// Which search algorithm to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchStrategy {
+    /// Exhaustive scan (always optimal, `O(√N)` model trainings).
+    BruteForce,
+    /// Algorithm 4 (`O(log √N)` model trainings).
+    Ternary,
+    /// Algorithm 5 with the given start point and search bound.
+    Iterative {
+        /// Initial MGrid side (paper default: 16 ≈ 2 km grids).
+        init: u32,
+        /// Search boundary `b`.
+        bound: u32,
+    },
+}
 
 /// Everything a [`TuningSession`](crate::TuningSession) needs to know.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,8 +56,20 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
+    /// The paper's setup: `√N = 128`, sides `4..=76`, the Iterative Method
+    /// from side 16 with bound 4, the default α window and clock, pipeline
+    /// on, no simulator and no bootstrap.
     fn default() -> Self {
-        EngineConfig::from_tuner(TunerConfig::default())
+        EngineConfig {
+            hgrid_budget_side: 128,
+            side_range: (4, 76),
+            strategy: SearchStrategy::Iterative { init: 16, bound: 4 },
+            alpha_window: AlphaWindow::default(),
+            clock: SlotClock::default(),
+            sim: None,
+            pipeline: true,
+            bootstrap: None,
+        }
     }
 }
 
@@ -52,30 +78,6 @@ impl EngineConfig {
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             cfg: EngineConfig::default(),
-        }
-    }
-
-    /// Lifts a legacy [`TunerConfig`] (default clock, no sim).
-    pub fn from_tuner(t: TunerConfig) -> Self {
-        EngineConfig {
-            hgrid_budget_side: t.hgrid_budget_side,
-            side_range: t.side_range,
-            strategy: t.strategy,
-            alpha_window: t.alpha_window,
-            clock: SlotClock::default(),
-            sim: None,
-            pipeline: true,
-            bootstrap: None,
-        }
-    }
-
-    /// The tuning subset, for interop with the legacy `GridTuner` facade.
-    pub fn tuner(&self) -> TunerConfig {
-        TunerConfig {
-            hgrid_budget_side: self.hgrid_budget_side,
-            side_range: self.side_range,
-            strategy: self.strategy,
-            alpha_window: self.alpha_window,
         }
     }
 
@@ -224,10 +226,27 @@ mod tests {
     use gridtuner_spatial::GeoBounds;
 
     #[test]
-    fn default_mirrors_the_legacy_tuner_config() {
+    fn default_config_mirrors_the_paper() {
+        // Sec. VI-A: a 128×128 HGrid budget, sides 4..=76, and the
+        // iterative method started at 16 with bound 4.
         let cfg = EngineConfig::default();
-        assert_eq!(cfg.tuner(), TunerConfig::default());
-        assert!(cfg.sim.is_none());
+        assert_eq!(cfg.hgrid_budget_side, 128);
+        assert_eq!(cfg.side_range, (4, 76));
+        assert_eq!(
+            cfg.strategy,
+            SearchStrategy::Iterative { init: 16, bound: 4 }
+        );
+    }
+
+    #[test]
+    fn default_mirrors_the_legacy_tuner_config() {
+        // The rest of the default is what the pre-engine tuner ran with:
+        // the default α window, the pipelined sweep, and no simulator or
+        // bootstrap stage. It validates as is.
+        let cfg = EngineConfig::default();
+        assert_eq!(cfg.alpha_window, AlphaWindow::default());
+        assert!(cfg.pipeline);
+        assert!(cfg.sim.is_none() && cfg.bootstrap.is_none());
         cfg.validate().unwrap();
     }
 

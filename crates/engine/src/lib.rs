@@ -6,9 +6,9 @@
 //! drives the explicit pipeline **ingest → alpha → search → report** (plus
 //! an optional dispatch stage for the case study).
 //!
-//! * [`config`] — [`EngineConfig`]: one validated struct subsuming the
-//!   tuner, α-window, simulator and fleet knobs, with a builder that
-//!   rejects invalid setups up front;
+//! * [`config`] — [`EngineConfig`]: one validated struct holding the
+//!   search ([`SearchStrategy`]), α-window, simulator and fleet knobs,
+//!   with a builder that rejects invalid setups up front;
 //! * [`error`] — [`EngineError`]: the workspace error taxonomy
 //!   (config / data / internal / env), each kind with a distinct process
 //!   exit code;
@@ -16,8 +16,9 @@
 //!   session records as it runs;
 //! * [`session`] — [`TuningSession`]: ingest events (incrementally — a
 //!   delta append does one partial scan, not a pipeline rebuild), tune
-//!   (bit-identical to the legacy `GridTuner` facade), re-tune after a
-//!   data delta with memoised work served from the caches;
+//!   (Algorithm 3's bound searched by Algorithms 4–5 or brute force),
+//!   re-tune after a data delta with memoised work served from the
+//!   caches;
 //! * [`uncertainty`] — the optional bootstrap stage: B seeded replicate
 //!   tunes over resampled logs producing a confidence set over the side,
 //!   per-probe dispersion and a stable/plateau/unstable verdict;
@@ -30,8 +31,8 @@
 //!
 //! Model-error legs plug in through
 //! [`gridtuner_core::upper_bound::ModelErrorSource`] (or its `Sync`
-//! sibling for parallel sweeps); infallible closures adapt via
-//! [`gridtuner_core::upper_bound::InfallibleSource`].
+//! sibling for parallel sweeps); plain `Fn(u32) -> f64` closures and `fn`
+//! pointers implement both directly.
 
 // Library code must not panic on fallible paths; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -43,7 +44,7 @@ pub mod session;
 pub mod stage;
 pub mod uncertainty;
 
-pub use config::{EngineConfig, EngineConfigBuilder};
+pub use config::{EngineConfig, EngineConfigBuilder, SearchStrategy};
 pub use error::{
     simd_diagnostics, simd_override, thread_diagnostics, thread_override, EngineError,
 };
@@ -57,8 +58,5 @@ pub use uncertainty::{
 
 // The traits and types sessions are used with, re-exported so front ends
 // need only this crate.
-pub use gridtuner_core::tuner::SearchStrategy;
-pub use gridtuner_core::upper_bound::{
-    InfallibleSource, ModelErrorFn, ModelErrorSource, SyncModelErrorSource,
-};
+pub use gridtuner_core::upper_bound::{ModelErrorSource, SyncModelErrorSource};
 pub use gridtuner_core::{alpha::AlphaWindow, search::SearchOutcome};

@@ -10,9 +10,9 @@
 //!
 //! Three searches, selected by [`PartitionKind`]:
 //!
-//! * **uniform** — no refinement: the 1-D winner re-evaluated through the
-//!   trait-dispatched sweep (bit-identical to the legacy path, by the
-//!   testkit differential);
+//! * **uniform** — no refinement: the 1-D winner's [`Partition`]
+//!   re-evaluated through the same sweep, so its bound re-adds to the 1-D
+//!   bound bit for bit;
 //! * **rect** — a deterministic hill-climb over `(nx, ny)` region counts,
 //!   seeded at the 1-D winner `(s*, s*)`, stepping one count at a time
 //!   within the configured side range;
@@ -27,6 +27,8 @@
 //! then row-major corner order; strict `<` on bounds keeps the first
 //! candidate in enumeration order on ties), so the search is reproducible
 //! across worker counts like everything else in the engine.
+//!
+//! [`Partition`]: gridtuner_spatial::Partition
 
 use crate::error::EngineError;
 use crate::session::{TuneReport, TuningSession};
@@ -34,7 +36,7 @@ use crate::stage::{StageKind, StageRecord};
 use gridtuner_core::dalpha::region_d_alpha;
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
-use gridtuner_spatial::{QuadTreePartition, RectGrid, RegionId, SpatialPartition, UniformGrid};
+use gridtuner_spatial::{QuadTreePartition, RectGrid, RegionId, SpatialPartition};
 use std::collections::HashMap;
 
 /// Which partition family [`TuningSession::tune_partition`] searches.
@@ -215,16 +217,15 @@ impl<S: ModelErrorSource> TuningSession<S> {
         &mut self,
         partition: &P,
     ) -> Result<(f64, f64), EngineError> {
-        let expr = self.cache_handle()?.partition_expression_error(partition)?;
+        let expr = self.cache_handle()?.expression_error(partition)?;
         let model = self.region_model_error(partition.n_regions())?;
         Ok((expr, model))
     }
 
     fn uniform_report(&mut self, uniform: TuneReport) -> Result<PartitionReport, EngineError> {
         let side = uniform.outcome.side;
-        let grid = UniformGrid::new(uniform.partition);
-        let (expr, model) = self.partition_legs(&grid)?;
-        let n_regions = grid.n_regions();
+        let (expr, model) = self.partition_legs(&uniform.partition)?;
+        let n_regions = uniform.partition.n_regions();
         Ok(PartitionReport {
             kind: PartitionKind::Uniform,
             layout: PartitionLayout::Uniform { side },
@@ -425,9 +426,8 @@ impl<S: ModelErrorSource> TuningSession<S> {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::config::SearchStrategy;
     use gridtuner_core::alpha::AlphaWindow;
-    use gridtuner_core::tuner::SearchStrategy;
-    use gridtuner_core::upper_bound::InfallibleSource;
     use gridtuner_spatial::{Event, Point};
 
     fn hotspot_events(n: usize, days: u32) -> Vec<Event> {
@@ -473,10 +473,10 @@ mod tests {
         (s * s) as f64 * 0.4
     }
 
-    type TestSession = TuningSession<InfallibleSource<fn(u32) -> f64>>;
+    type TestSession = TuningSession<fn(u32) -> f64>;
 
     fn session() -> TestSession {
-        let mut s = TuningSession::new(cfg(), InfallibleSource(model as fn(u32) -> f64)).unwrap();
+        let mut s = TuningSession::new(cfg(), model as fn(u32) -> f64).unwrap();
         s.ingest(&hotspot_events(300, 7)).unwrap();
         s
     }
@@ -492,6 +492,32 @@ mod tests {
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(PartitionKind::parse("hex"), None);
+    }
+
+    #[test]
+    fn isqrt_is_exact() {
+        for n in 0usize..2000 {
+            let s = isqrt(n) as usize;
+            assert!(s * s <= n && (s + 1) * (s + 1) > n, "n={n} s={s}");
+        }
+    }
+
+    #[test]
+    fn region_model_leg_interpolates_linearly_in_n() {
+        let mut s = session();
+        // Linear-in-n model: interpolation is exact at every region count,
+        // and square counts take the exact (non-interpolated) leg.
+        for regions in [1usize, 2, 3, 4, 5, 9, 12, 17, 100] {
+            let got = s.region_model_error(regions).unwrap();
+            assert!(
+                (got - 0.4 * regions as f64).abs() < 1e-9,
+                "R={regions}: {got}"
+            );
+        }
+        assert_eq!(
+            s.region_model_error(9).unwrap().to_bits(),
+            model(3).to_bits()
+        );
     }
 
     #[test]
@@ -532,11 +558,7 @@ mod tests {
         let budget = s.config().hgrid_budget_side;
         let side = report.uniform.outcome.side;
         let seed = RectGrid::for_budget(side, side, budget);
-        let seed_expr = s
-            .alpha_cache()
-            .unwrap()
-            .partition_expression_error(&seed)
-            .unwrap();
+        let seed_expr = s.alpha_cache().unwrap().expression_error(&seed).unwrap();
         let seed_bound = seed_expr + model(side);
         assert!(
             report.bound <= seed_bound + 1e-12,

@@ -35,6 +35,7 @@
 //! materialised resampled log — the `bootstrap-replicate-vs-direct`
 //! oracle pair holds bitwise.
 
+use crate::config::SearchStrategy;
 use crate::error::EngineError;
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
@@ -44,7 +45,6 @@ use gridtuner_core::resample::resample_events;
 use gridtuner_core::search::{
     try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome,
 };
-use gridtuner_core::tuner::SearchStrategy;
 use gridtuner_obs as obs;
 use gridtuner_par::EnvParseError;
 use gridtuner_spatial::{Event, Partition, SlotClock};

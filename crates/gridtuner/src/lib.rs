@@ -78,63 +78,73 @@ mod tests {
     //! the paper's workflow without reaching for the `gridtuner_*` names.
 
     use crate::core::alpha::AlphaWindow;
-    use crate::core::tuner::{GridTuner, SearchStrategy, TunerConfig};
     use crate::datagen::City;
-    use crate::spatial::{Partition, SlotClock};
+    use crate::engine::{EngineConfig, SearchStrategy, TuningSession};
+    use crate::spatial::{Event, Partition};
     use rand::{rngs::StdRng, SeedableRng};
 
-    #[test]
-    fn end_to_end_tune_through_the_facade() {
+    fn chengdu_setup() -> (Vec<Event>, EngineConfig) {
         let city = City::chengdu().scaled(0.005);
         let mut rng = StdRng::seed_from_u64(3);
         let events = city.sample_history_events(16, 0..7, &mut rng);
-        let window = AlphaWindow {
-            slot_of_day: 16,
-            day_start: 0,
-            day_end: 7,
-            weekdays_only: true,
-        };
-        let tuner = GridTuner::new(TunerConfig {
-            hgrid_budget_side: 16,
-            side_range: (2, 12),
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: window,
-        });
-        let result = tuner.tune(&events, SlotClock::default(), |s: u32| (s * s) as f64 * 0.1);
-        assert!((2..=12).contains(&result.outcome.side));
-        assert_eq!(result.alpha_rescans, 1);
-        assert_eq!(result.partition.mgrid_side(), result.outcome.side);
+        let config = EngineConfig::builder()
+            .hgrid_budget_side(16)
+            .side_range(2, 12)
+            .strategy(SearchStrategy::BruteForce)
+            .alpha_window(AlphaWindow {
+                slot_of_day: 16,
+                day_start: 0,
+                day_end: 7,
+                weekdays_only: true,
+            })
+            .build()
+            .unwrap();
+        (events, config)
+    }
+
+    fn model(s: u32) -> f64 {
+        (s * s) as f64 * 0.1
     }
 
     #[test]
-    fn session_matches_the_legacy_facade_tune_bitwise() {
-        use crate::engine::{EngineConfig, TuningSession};
-        let city = City::chengdu().scaled(0.005);
-        let mut rng = StdRng::seed_from_u64(3);
-        let events = city.sample_history_events(16, 0..7, &mut rng);
-        let window = AlphaWindow {
-            slot_of_day: 16,
-            day_start: 0,
-            day_end: 7,
-            weekdays_only: true,
-        };
-        let tuner_cfg = TunerConfig {
-            hgrid_budget_side: 16,
-            side_range: (2, 12),
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: window,
-        };
-        let model = |s: u32| (s * s) as f64 * 0.1;
-        let legacy = GridTuner::new(tuner_cfg).tune(&events, SlotClock::default(), model);
-        let mut session = TuningSession::new(EngineConfig::from_tuner(tuner_cfg), model).unwrap();
+    fn end_to_end_tune_through_the_facade() {
+        let (events, config) = chengdu_setup();
+        let mut session = TuningSession::new(config, model).unwrap();
         session.ingest(&events).unwrap();
         let report = session.tune().unwrap();
-        assert_eq!(report.outcome.side, legacy.outcome.side);
-        assert_eq!(
-            report.outcome.error.to_bits(),
-            legacy.outcome.error.to_bits()
-        );
-        assert_eq!(report.outcome.probes, legacy.outcome.probes);
+        assert!((2..=12).contains(&report.outcome.side));
+        assert_eq!(report.alpha_full_scans, 1);
+        assert_eq!(report.partition.mgrid_side(), report.outcome.side);
+    }
+
+    /// The legacy facade tune, spelled out through the facade paths: α
+    /// re-estimated from the raw log at every probe and a brute-force
+    /// search with no cache. The session must agree bit for bit.
+    #[test]
+    fn session_matches_the_legacy_facade_tune_bitwise() {
+        use crate::core::{estimate_alpha, try_brute_force, try_partition_expression_error};
+        let (events, config) = chengdu_setup();
+        let direct = try_brute_force(
+            |side| {
+                let part = Partition::for_budget(side, config.hgrid_budget_side);
+                let alpha = estimate_alpha(
+                    &events,
+                    part.hgrid_spec(),
+                    &config.clock,
+                    &config.alpha_window,
+                );
+                Ok(try_partition_expression_error(&alpha, &part, None)? + model(side))
+            },
+            2,
+            12,
+        )
+        .unwrap();
+        let mut session = TuningSession::new(config, model).unwrap();
+        session.ingest(&events).unwrap();
+        let report = session.tune().unwrap();
+        assert_eq!(report.outcome.side, direct.side);
+        assert_eq!(report.outcome.error.to_bits(), direct.error.to_bits());
+        assert_eq!(report.outcome.probes, direct.probes);
     }
 
     #[test]

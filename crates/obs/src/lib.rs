@@ -251,6 +251,7 @@ mod tests {
 
     #[test]
     fn counters_work_regardless_of_enabled() {
+        let _guard = test_guard();
         disable();
         let before = counter!("lib.test.counter").get();
         counter!("lib.test.counter").inc();

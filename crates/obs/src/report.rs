@@ -3,7 +3,7 @@
 //! makes the paper's U-curve directly inspectable.
 //!
 //! The decomposition is rebuilt from retained `probe` events (emitted by
-//! the upper-bound oracle with `side`, `expression_error`, `model_error`
+//! each `TuningSession` probe with `side`, `expression_error`, `model_error`
 //! and `total` fields), deduplicated by side — re-probing a side under a
 //! memoising search does not duplicate rows.
 //!

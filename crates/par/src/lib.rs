@@ -52,8 +52,8 @@ const MIN_ITEMS_PER_THREAD: usize = 2;
 /// canonical 4-lane association (see [`block_fold`]). Because the block
 /// size is a constant, the association — and so the summed value, bit for
 /// bit — is the same for every worker count. Public so sequential
-/// reference implementations (e.g. the batched expression-error kernel's
-/// `total_expression_error_seq`) can replicate the exact association.
+/// reference implementations (e.g. the testkit's sequential
+/// expression-error sweeps) can replicate the exact association.
 pub const SUM_BLOCK: usize = 64;
 
 /// One block's partial sum under the **canonical 4-lane association**:

@@ -4,13 +4,13 @@
 //! [`total_model_error`] measures exactly that (the slot-averaged MGrid
 //! L1 bias); [`CityModelError`] packages "sample a training series at side
 //! `s`, fit a fresh predictor, evaluate on validation slots" as a
-//! [`ModelErrorFn`], the model leg of Algorithm 3.
+//! [`ModelErrorSource`], the model leg of Algorithm 3.
 
 use crate::error::PredictError;
 use crate::features::FeatureConfig;
 use crate::models::Predictor;
 use gridtuner_core::error::CoreError;
-use gridtuner_core::upper_bound::{ModelErrorFn, ModelErrorSource};
+use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_datagen::{City, DataSplit};
 use gridtuner_spatial::{CountSeries, GridSpec, SlotClock, SlotId};
 use rand::{rngs::StdRng, SeedableRng};
@@ -135,14 +135,8 @@ impl<F: FnMut() -> Box<dyn Predictor>> CityModelError<F> {
     }
 }
 
-impl<F: FnMut() -> Box<dyn Predictor>> ModelErrorFn for CityModelError<F> {
-    fn total_model_error(&mut self, mgrid_side: u32) -> f64 {
-        self.measure(mgrid_side).0
-    }
-}
-
-/// The session-API face of the city model oracle: same measurement, typed
-/// failures. The series is re-sampled per (seed, side) from the city's
+/// The model leg of a session: [`try_measure`](CityModelError::try_measure)
+/// with typed failures. The series is re-sampled per (seed, side) from the city's
 /// generator — not from the session's ingested log — so a data delta does
 /// not invalidate memoised values (`data_dependent` stays false).
 impl<F: FnMut() -> Box<dyn Predictor>> ModelErrorSource for CityModelError<F> {
@@ -208,9 +202,9 @@ mod tests {
         let city = tiny_city();
         let mk = || Box::new(HistoricalAverage::new()) as Box<dyn Predictor>;
         let mut oracle = CityModelError::new(city, tiny_split(), 7, mk).with_max_eval_slots(24);
-        let coarse = ModelErrorFn::total_model_error(&mut oracle, 2);
-        let mid = ModelErrorFn::total_model_error(&mut oracle, 8);
-        let fine = ModelErrorFn::total_model_error(&mut oracle, 16);
+        let coarse = oracle.model_error(2).unwrap();
+        let mid = oracle.model_error(8).unwrap();
+        let fine = oracle.model_error(16).unwrap();
         assert!(
             coarse < mid && mid < fine,
             "model error not increasing: {coarse} {mid} {fine}"

@@ -17,7 +17,7 @@
 //! [`features`] builds the closeness/period/trend tensors from a
 //! [`gridtuner_spatial::CountSeries`]; [`eval`] measures the total model
 //! error `Σ_i |λ̂_i − λ_i| ≈ n·MAE(f)` (Eq. 20) and adapts any predictor
-//! to [`gridtuner_core::upper_bound::ModelErrorFn`] so it can drive the
+//! to [`gridtuner_core::upper_bound::ModelErrorSource`] so it can drive the
 //! OGSS search.
 
 // Library code must not panic on fallible paths; tests are exempt. (The

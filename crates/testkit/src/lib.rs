@@ -19,6 +19,8 @@
 //! * [`pairs`] — the standard registry wiring every oracle pair in the
 //!   workspace (expression-error trio, α cache, search strategies,
 //!   reductions, nn kernels, Theorem II.1) into the engine;
+//! * [`reference`](mod@reference) — slow single-threaded expression-error sweeps, the
+//!   oracles the production sweep is compared with;
 //! * [`golden`] — a dependency-free JSON layer that pins end-to-end
 //!   results (tuning optimum, error decomposition, dispatch metrics) as
 //!   checked-in snapshots under `tests/goldens/`, regenerated with
@@ -34,6 +36,7 @@
 pub mod diff;
 pub mod golden;
 pub mod pairs;
+pub mod reference;
 pub mod scenario;
 
 pub use diff::{seed_budget, try_seed_budget, Check, DiffEngine, Divergence, Report};

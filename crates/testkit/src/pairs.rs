@@ -13,15 +13,17 @@
 //! | `expr-lemma-bound` | Lemma III.1 bounds every `E_e(a, b, m)` |
 //! | `alpha-cache-vs-direct` | the α cache is bit-identical to `estimate_alpha`, with one log scan |
 //! | `alpha-mass-conservation` | binned α mass × window days = in-window, in-square event count |
-//! | `tune-brute-vs-parallel` | parallel brute force = sequential brute force, bit for bit |
-//! | `tune-heuristics-consistent` | ternary/iterative probe the same curve and never beat brute force |
+//! | `tune-brute-vs-parallel` | a session's `tune_parallel` = its sequential brute-force `tune`, bit for bit |
+//! | `tune-heuristics-consistent` | ternary/iterative sessions probe the brute-force session's curve and never beat it |
+//! | `session-vs-direct-search` | a session tune = the `try_*` searcher over α estimated from the raw log per probe, bit for bit |
+//! | `session-incremental-vs-rebuild` | ingesting a delta and re-tuning = tuning the concatenated log from scratch, bit for bit |
 //! | `search-ternary-unimodal` | ternary finds the brute-force optimum on strictly unimodal curves |
 //! | `search-iterative-unimodal` | the iterative method does too, from any start with any bound ≥ 1 |
 //! | `par-sum-determinism` | `par_sum` matches its documented fixed-block association |
 //! | `par-accumulate-determinism` | `par_accumulate` matches its documented chunked association |
-//! | `total-expr-par-vs-seq` | the parallel field sweep matches the sequential one, bit for bit |
-//! | `uniform-trait-vs-legacy` | the trait-dispatched `UniformGrid` sweep = the legacy square sweep, bit for bit, at 1/2/8 workers |
-//! | `batched-vs-seq-expression-error` | the batched kernel (cold or warm pmf memo) = the sequential sweep, bit for bit |
+//! | `total-expr-par-vs-seq` | the parallel sweep = the sequential [`reference`](crate::reference) sweep, bit for bit, on square and quadtree partitions |
+//! | `uniform-sweep-vs-reference` | the `Partition` sweep = the reference square sweep, bit for bit, at 1/2/8 workers |
+//! | `batched-vs-seq-expression-error` | the batched kernel (cold or warm pmf memo) = the reference sweep, bit for bit |
 //! | `expr-dedup-weight-conservation` | per-MGrid dedup multiplicities sum back to `m` |
 //! | `nn-dense-vs-naive` | the blocked dense kernel matches the naive mat-vec |
 //! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution |
@@ -31,6 +33,9 @@
 //! | `simd-vs-scalar-emulation` | a full tune is bit-identical under the AVX2 backend and its scalar emulation, at 1/2/8 workers, pipeline on or off |
 
 use crate::diff::Check;
+use crate::reference::{
+    expression_error_percell, expression_error_seq, region_expression_error_seq,
+};
 use crate::scenario::Scenario;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::errors::{evaluate_errors, ErrorSample};
@@ -38,16 +43,18 @@ use gridtuner_core::estimate_alpha;
 use gridtuner_core::expr_kernel::{dedup_groups, PmfMemo};
 use gridtuner_core::expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
-    expression_error_windowed, lemma_upper_bound, total_expression_error,
-    total_expression_error_memo, total_expression_error_percell, total_expression_error_seq,
-    try_partition_expression_error,
+    expression_error_windowed, lemma_upper_bound, try_partition_expression_error,
 };
 use gridtuner_core::resample::resample_events;
-use gridtuner_core::search::{brute_force, iterative_method, ternary_search};
-use gridtuner_core::tuner::{GridTuner, SearchStrategy, TunerConfig};
-use gridtuner_engine::{BootstrapConfig, EngineConfig, TuningSession};
+use gridtuner_core::search::{
+    brute_force, iterative_method, ternary_search, try_brute_force, try_iterative_method,
+    try_ternary_search, SearchOutcome,
+};
+use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_nn::{Conv2d, Dense, Layer, Tensor};
-use gridtuner_spatial::{CountMatrix, GridSpec, Partition, UniformGrid};
+use gridtuner_spatial::{
+    CountMatrix, GridSpec, Partition, QuadTreePartition, RegionId, SpatialPartition,
+};
 use rand::Rng;
 
 /// Relative + absolute closeness with a contextual label.
@@ -106,13 +113,43 @@ fn unimodal_curve(s: &Scenario, salt: u64) -> (Vec<f64>, u32) {
     (v, t)
 }
 
-fn tuner_config(s: &Scenario, strategy: SearchStrategy) -> TunerConfig {
-    TunerConfig {
-        hgrid_budget_side: s.params.budget_side,
-        side_range: s.params.side_range(),
-        strategy,
-        alpha_window: s.window,
+/// A fresh session over the scenario's events and analytic model leg,
+/// tuned sequentially or through `tune_parallel`.
+fn session_tune(s: &Scenario, config: EngineConfig, parallel: bool) -> Result<TuneReport, String> {
+    let mut session = TuningSession::new(config, s.model_fn())
+        .map_err(|e| format!("session rejected {:?}: {e}", config.strategy))?;
+    session.ingest(&s.events).map_err(|e| e.to_string())?;
+    let report = if parallel {
+        session.tune_parallel()
+    } else {
+        session.tune()
+    };
+    report.map_err(|e| e.to_string())
+}
+
+/// Same selected side, same error bits and the same probe trail.
+fn same_outcome(label: &str, got: &SearchOutcome, want: &SearchOutcome) -> Result<(), String> {
+    if got.side != want.side {
+        return Err(format!(
+            "{label}: optimum side {} vs {}",
+            got.side, want.side
+        ));
     }
+    bit_eq(&format!("{label}: optimum error"), got.error, want.error)?;
+    if got.probes.len() != want.probes.len() {
+        return Err(format!(
+            "{label}: probe counts {} vs {}",
+            got.probes.len(),
+            want.probes.len()
+        ));
+    }
+    for ((s1, e1), (s2, e2)) in got.probes.iter().zip(&want.probes) {
+        if s1 != s2 {
+            return Err(format!("{label}: probe order diverged: side {s1} vs {s2}"));
+        }
+        bit_eq(&format!("{label}: probe e({s1})"), *e1, *e2)?;
+    }
+    Ok(())
 }
 
 /// Every standard check, in a deterministic order.
@@ -229,43 +266,21 @@ pub fn standard_checks() -> Vec<Check> {
     }));
 
     checks.push(Check::new("tune-brute-vs-parallel", |s| {
-        let tuner = GridTuner::new(tuner_config(s, SearchStrategy::BruteForce));
-        let model = s.model_fn();
-        let seq = tuner.tune(&s.events, s.clock, model);
-        let par = tuner.tune_brute_parallel(&s.events, s.clock, model);
-        if seq.outcome.side != par.outcome.side {
+        let config = s.engine_config(SearchStrategy::BruteForce);
+        let seq = session_tune(s, config, false)?;
+        let par = session_tune(s, config, true)?;
+        same_outcome("parallel vs sequential", &par.outcome, &seq.outcome)?;
+        if seq.alpha_full_scans != 1 || par.alpha_full_scans != 1 {
             return Err(format!(
-                "optimum side {} vs {}",
-                seq.outcome.side, par.outcome.side
-            ));
-        }
-        bit_eq("optimum error", seq.outcome.error, par.outcome.error)?;
-        if seq.outcome.probes.len() != par.outcome.probes.len() {
-            return Err(format!(
-                "probe counts {} vs {}",
-                seq.outcome.probes.len(),
-                par.outcome.probes.len()
-            ));
-        }
-        for ((s1, e1), (s2, e2)) in seq.outcome.probes.iter().zip(&par.outcome.probes) {
-            if s1 != s2 {
-                return Err(format!("probe order diverged: side {s1} vs {s2}"));
-            }
-            bit_eq(&format!("probe e({s1})"), *e1, *e2)?;
-        }
-        if seq.alpha_rescans != 1 || par.alpha_rescans != 1 {
-            return Err(format!(
-                "alpha rescans {} / {}, contract says 1",
-                seq.alpha_rescans, par.alpha_rescans
+                "alpha full scans {} / {}, contract says 1",
+                seq.alpha_full_scans, par.alpha_full_scans
             ));
         }
         Ok(())
     }));
 
     checks.push(Check::new("tune-heuristics-consistent", |s| {
-        let model = s.model_fn();
-        let brute = GridTuner::new(tuner_config(s, SearchStrategy::BruteForce))
-            .tune(&s.events, s.clock, model);
+        let brute = session_tune(s, s.engine_config(SearchStrategy::BruteForce), false)?;
         let curve: std::collections::BTreeMap<u32, f64> =
             brute.outcome.probes.iter().copied().collect();
         let (_, hi) = s.params.side_range();
@@ -277,7 +292,7 @@ pub fn standard_checks() -> Vec<Check> {
             },
         ];
         for strat in strategies {
-            let out = GridTuner::new(tuner_config(s, strat)).tune(&s.events, s.clock, model);
+            let out = session_tune(s, s.engine_config(strat), false)?;
             // Metamorphic: every heuristic probe must land on the brute
             // curve bit-for-bit (same oracle, deterministic) ...
             for (side, e) in &out.outcome.probes {
@@ -293,16 +308,25 @@ pub fn standard_checks() -> Vec<Check> {
                     out.outcome.error, brute.outcome.error
                 ));
             }
-            if out.alpha_rescans != 1 {
+            if out.alpha_full_scans != 1 {
                 return Err(format!("{strat:?} rescanned the log"));
             }
         }
         Ok(())
     }));
 
-    checks.push(Check::new("session-vs-tuner", |s| {
+    checks.push(Check::new("session-vs-direct-search", |s| {
+        // Algorithm 3 with no cache at all: α re-estimated from the raw
+        // log and a per-call pmf table on every probe, searched by the
+        // same `try_*` searcher. The session's α cache, pmf memo, model
+        // memo and prefetch pipeline must all be bit-invisible.
         let model = s.model_fn();
-        let (_, hi) = s.params.side_range();
+        let (lo, hi) = s.params.side_range();
+        let probe = |side: u32| {
+            let part = Partition::for_budget(side, s.params.budget_side);
+            let alpha = estimate_alpha(&s.events, part.hgrid_spec(), &s.clock, &s.window);
+            Ok(try_partition_expression_error(&alpha, &part, None)? + model(side))
+        };
         let strategies = [
             SearchStrategy::BruteForce,
             SearchStrategy::Ternary,
@@ -312,39 +336,20 @@ pub fn standard_checks() -> Vec<Check> {
             },
         ];
         for strat in strategies {
-            let legacy = GridTuner::new(tuner_config(s, strat)).tune(&s.events, s.clock, model);
-            let config = EngineConfig {
-                clock: s.clock,
-                ..EngineConfig::from_tuner(tuner_config(s, strat))
-            };
-            let mut session = TuningSession::new(config, model)
-                .map_err(|e| format!("session rejected {strat:?}: {e}"))?;
-            session.ingest(&s.events).map_err(|e| e.to_string())?;
-            let report = session.tune().map_err(|e| e.to_string())?;
-            if report.outcome.side != legacy.outcome.side {
-                return Err(format!(
-                    "{strat:?} optimum side {} vs legacy {}",
-                    report.outcome.side, legacy.outcome.side
-                ));
-            }
-            bit_eq(
-                &format!("{strat:?} optimum error"),
-                report.outcome.error,
-                legacy.outcome.error,
-            )?;
-            if report.outcome.probes.len() != legacy.outcome.probes.len() {
-                return Err(format!(
-                    "{strat:?} probe counts {} vs {}",
-                    report.outcome.probes.len(),
-                    legacy.outcome.probes.len()
-                ));
-            }
-            for ((s1, e1), (s2, e2)) in report.outcome.probes.iter().zip(&legacy.outcome.probes) {
-                if s1 != s2 {
-                    return Err(format!("{strat:?} probe order diverged: side {s1} vs {s2}"));
+            let direct = match strat {
+                SearchStrategy::BruteForce => try_brute_force(probe, lo, hi),
+                SearchStrategy::Ternary => try_ternary_search(probe, lo, hi),
+                SearchStrategy::Iterative { init, bound } => {
+                    try_iterative_method(probe, lo, hi, init, bound)
                 }
-                bit_eq(&format!("{strat:?} probe e({s1})"), *e1, *e2)?;
             }
+            .map_err(|e| format!("{strat:?} direct search: {e}"))?;
+            let report = session_tune(s, s.engine_config(strat), false)?;
+            same_outcome(
+                &format!("{strat:?} session vs direct"),
+                &report.outcome,
+                &direct,
+            )?;
             if report.alpha_full_scans != 1 {
                 return Err(format!(
                     "{strat:?} did {} full scans, contract says 1",
@@ -360,13 +365,8 @@ pub fn standard_checks() -> Vec<Check> {
             return Ok(()); // nothing to split (shrunk scenarios)
         }
         let model = s.model_fn();
-        let config = EngineConfig {
-            clock: s.clock,
-            ..EngineConfig::from_tuner(tuner_config(s, SearchStrategy::BruteForce))
-        };
-        let mut rebuilt = TuningSession::new(config, model).map_err(|e| e.to_string())?;
-        rebuilt.ingest(&s.events).map_err(|e| e.to_string())?;
-        let whole = rebuilt.tune().map_err(|e| e.to_string())?;
+        let config = s.engine_config(SearchStrategy::BruteForce);
+        let whole = session_tune(s, config, false)?;
         // Seed-derived split point, kept off the ends so the delta is real.
         let cut = 1 + (s.params.seed as usize % (s.events.len() - 1));
         let mut inc = TuningSession::new(config, model).map_err(|e| e.to_string())?;
@@ -374,23 +374,7 @@ pub fn standard_checks() -> Vec<Check> {
         inc.tune().map_err(|e| e.to_string())?;
         inc.ingest(&s.events[cut..]).map_err(|e| e.to_string())?;
         let delta = inc.tune().map_err(|e| e.to_string())?;
-        if delta.outcome.side != whole.outcome.side {
-            return Err(format!(
-                "incremental optimum side {} vs rebuild {}",
-                delta.outcome.side, whole.outcome.side
-            ));
-        }
-        bit_eq(
-            "incremental optimum error",
-            delta.outcome.error,
-            whole.outcome.error,
-        )?;
-        for ((s1, e1), (s2, e2)) in delta.outcome.probes.iter().zip(&whole.outcome.probes) {
-            if s1 != s2 {
-                return Err(format!("probe order diverged: side {s1} vs {s2}"));
-            }
-            bit_eq(&format!("probe e({s1})"), *e1, *e2)?;
-        }
+        same_outcome("incremental vs rebuild", &delta.outcome, &whole.outcome)?;
         if delta.alpha_full_scans != 1 || delta.alpha_delta_scans != 1 {
             return Err(format!(
                 "scan counters full={} delta={}, contract says 1/1",
@@ -495,22 +479,31 @@ pub fn standard_checks() -> Vec<Check> {
     checks.push(Check::new("total-expr-par-vs-seq", |s| {
         let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
         let part = Partition::for_budget(s.params.max_side, s.params.budget_side);
-        cache.with_alpha(part.hgrid_spec(), |alpha| {
-            // Both sweeps fold SUM_BLOCK-sized blocks of MGrids in order,
-            // so they agree bit for bit, not just to tolerance.
-            bit_eq(
-                "total expression error, parallel vs sequential",
-                total_expression_error(alpha, &part),
-                total_expression_error_seq(alpha, &part),
-            )
-        })
+        // Both sweeps fold SUM_BLOCK-sized blocks of regions in order, so
+        // they agree bit for bit, not just to tolerance — for the square
+        // grid and for a variable-size quadtree alike.
+        let alpha = cache.alpha(part.hgrid_spec());
+        bit_eq(
+            "square sweep, parallel vs sequential",
+            cache.expression_error(&part).map_err(|e| e.to_string())?,
+            expression_error_seq(&alpha, &part),
+        )?;
+        let quad = QuadTreePartition::uniform_depth(s.params.budget_side, 1)
+            .and_then(|q| q.split(RegionId(0)))
+            .ok_or("budget lattice too small to split")?;
+        let alpha = cache.alpha(quad.hgrid_spec());
+        bit_eq(
+            "quadtree sweep, parallel vs sequential",
+            cache.expression_error(&quad).map_err(|e| e.to_string())?,
+            region_expression_error_seq(&alpha, &quad).map_err(|e| e.to_string())?,
+        )
     }));
 
-    checks.push(Check::new("uniform-trait-vs-legacy", |s| {
-        // The `SpatialPartition` refactor's inertness gate: a `UniformGrid`
-        // wrapping the legacy square partition must reproduce the legacy
-        // batched sweep bit for bit — same per-region values, same
-        // SUM_BLOCK association — at every worker count in the matrix.
+    checks.push(Check::new("uniform-sweep-vs-reference", |s| {
+        // `Partition`'s `SpatialPartition` impl must enumerate regions and
+        // cells exactly as the reference's direct MGrid walk does: same
+        // per-region values, same SUM_BLOCK association, at every worker
+        // count in the matrix.
         let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
         let memo = PmfMemo::default();
         let prev = gridtuner_par::max_threads();
@@ -520,14 +513,12 @@ pub fn standard_checks() -> Vec<Check> {
                 for side in 1..=s.params.max_side {
                     let part = Partition::for_budget(side, s.params.budget_side);
                     let alpha = cache.alpha(part.hgrid_spec());
-                    let legacy = total_expression_error_memo(&alpha, &part, &memo);
-                    let uniform = UniformGrid::new(part);
-                    let traited = try_partition_expression_error(&alpha, &uniform, Some(&memo))
+                    let swept = try_partition_expression_error(&alpha, &part, Some(&memo))
                         .map_err(|e| format!("side {side}: {e}"))?;
                     bit_eq(
-                        &format!("side {side} at {threads} workers, trait vs legacy"),
-                        traited,
-                        legacy,
+                        &format!("side {side} at {threads} workers, sweep vs reference"),
+                        swept,
+                        expression_error_seq(&alpha, &part),
                     )?;
                 }
             }
@@ -549,11 +540,12 @@ pub fn standard_checks() -> Vec<Check> {
             .map(|_| rng.gen_range(0..40u32) as f64 / 8.0)
             .collect();
         let alpha = CountMatrix::from_vec(spec.side(), vals).map_err(|e| format!("{e}"))?;
-        let seq = total_expression_error_seq(&alpha, &part);
+        let seq = expression_error_seq(&alpha, &part);
         let memo = PmfMemo::default();
-        let cold = total_expression_error_memo(&alpha, &part, &memo);
+        let sweep = || try_partition_expression_error(&alpha, &part, Some(&memo));
+        let cold = sweep().map_err(|e| e.to_string())?;
         bit_eq("batched (cold pmf memo) vs sequential", cold, seq)?;
-        let warm = total_expression_error_memo(&alpha, &part, &memo);
+        let warm = sweep().map_err(|e| e.to_string())?;
         bit_eq("batched (warm pmf memo) vs sequential", warm, seq)?;
         if part.m() > 1 && memo.hits() == 0 {
             return Err("warm pass served no pmf-memo hits".into());
@@ -563,7 +555,7 @@ pub fn standard_checks() -> Vec<Check> {
         close(
             "batched vs per-cell reference sweep",
             cold,
-            total_expression_error_percell(&alpha, &part),
+            expression_error_percell(&alpha, &part),
             1e-9,
             1e-12,
         )
@@ -704,9 +696,8 @@ pub fn standard_checks() -> Vec<Check> {
         let boot_seed = s.params.seed ^ 0xb007_57a9;
         let b = 3u32;
         let config = EngineConfig {
-            clock: s.clock,
             bootstrap: Some(BootstrapConfig::new(b, boot_seed)),
-            ..EngineConfig::from_tuner(tuner_config(s, SearchStrategy::BruteForce))
+            ..s.engine_config(SearchStrategy::BruteForce)
         };
         let mut session = TuningSession::new(config, model).map_err(|e| e.to_string())?;
         session.ingest(&s.events).map_err(|e| e.to_string())?;
@@ -723,10 +714,7 @@ pub fn standard_checks() -> Vec<Check> {
         }
         for r in 0..u64::from(b) {
             let log = resample_events(&s.events, boot_seed, r);
-            let direct_cfg = EngineConfig {
-                clock: s.clock,
-                ..EngineConfig::from_tuner(tuner_config(s, SearchStrategy::BruteForce))
-            };
+            let direct_cfg = s.engine_config(SearchStrategy::BruteForce);
             let mut direct = TuningSession::new(direct_cfg, model).map_err(|e| e.to_string())?;
             direct.ingest(&log).map_err(|e| e.to_string())?;
             let d = direct.tune().map_err(|e| e.to_string())?;

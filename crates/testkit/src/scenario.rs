@@ -17,6 +17,7 @@
 //! self-contained and replayable.
 
 use gridtuner_core::alpha::AlphaWindow;
+use gridtuner_engine::{EngineConfig, SearchStrategy};
 use gridtuner_spatial::{Event, Point, SlotClock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -223,6 +224,20 @@ impl Scenario {
     pub fn model_fn(&self) -> impl Fn(u32) -> f64 + Sync + Copy {
         let coef = self.params.model_coef;
         move |s: u32| coef * (s * s) as f64
+    }
+
+    /// The scenario's session configuration — HGrid budget, side range,
+    /// α window and clock — under `strategy`, with the engine's defaults
+    /// for everything else.
+    pub fn engine_config(&self, strategy: SearchStrategy) -> EngineConfig {
+        EngineConfig {
+            hgrid_budget_side: self.params.budget_side,
+            side_range: self.params.side_range(),
+            strategy,
+            alpha_window: self.window,
+            clock: self.clock,
+            ..EngineConfig::default()
+        }
     }
 }
 

@@ -8,19 +8,17 @@
 //! is global, and a second concurrently-running test in the same binary
 //! would observe it mid-sweep.
 
-use gridtuner_core::tuner::{GridTuner, SearchStrategy, TunerConfig};
+use gridtuner_engine::{SearchStrategy, TuningSession};
 use gridtuner_testkit::Scenario;
 
 /// One full pipeline run at the current worker count: a parallel
-/// brute-force tune plus the two reduction primitives on scenario data.
+/// brute-force session tune plus the two reduction primitives on scenario
+/// data.
 fn run_pipeline(scenario: &Scenario, values: &[f64]) -> (u32, u64, Vec<(u32, u64)>, u64, Vec<u32>) {
-    let tuner = GridTuner::new(TunerConfig {
-        hgrid_budget_side: scenario.params.budget_side,
-        side_range: scenario.params.side_range(),
-        strategy: SearchStrategy::BruteForce,
-        alpha_window: scenario.window,
-    });
-    let result = tuner.tune_brute_parallel(&scenario.events, scenario.clock, scenario.model_fn());
+    let config = scenario.engine_config(SearchStrategy::BruteForce);
+    let mut session = TuningSession::new(config, scenario.model_fn()).unwrap();
+    session.ingest(&scenario.events).unwrap();
+    let result = session.tune_parallel().unwrap();
     let probes: Vec<(u32, u64)> = result
         .outcome
         .probes

@@ -12,10 +12,9 @@
 //! a 1e-9 relative float tolerance. See `TESTING.md`.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::{City, TripGenerator};
 use gridtuner_dispatch::{DemandView, FleetConfig, Order, Polar, SimConfig};
-use gridtuner_engine::{BootstrapConfig, EngineConfig, TuningSession};
+use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_testkit::{check_golden, Json};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -55,12 +54,11 @@ fn golden_for_city(city: City, seed: u64) -> Json {
             },
             ..SimConfig::for_geo(*city.geo())
         }),
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: BUDGET_SIDE,
-            side_range: SIDE_RANGE,
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: window,
-        })
+        hgrid_budget_side: BUDGET_SIDE,
+        side_range: SIDE_RANGE,
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: window,
+        ..EngineConfig::default()
     };
     let mut session = TuningSession::new(config, model).expect("golden config is valid");
     session

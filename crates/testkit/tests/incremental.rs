@@ -9,20 +9,11 @@
 //! is global, and a second concurrently-running test in the same binary
 //! would observe it mid-sweep. See `TESTING.md`.
 
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
-use gridtuner_engine::{EngineConfig, TuneReport, TuningSession};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_testkit::Scenario;
 
 fn config_for(sc: &Scenario) -> EngineConfig {
-    EngineConfig {
-        clock: sc.clock,
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: sc.params.budget_side,
-            side_range: sc.params.side_range(),
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: sc.window,
-        })
-    }
+    sc.engine_config(SearchStrategy::BruteForce)
 }
 
 /// Everything a tune decides, with floats as bits: the selected side, its

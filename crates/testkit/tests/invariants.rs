@@ -1,12 +1,12 @@
 //! Invariant-layer smoke: drives the hot paths that carry the
 //! `check-invariants` runtime assertions (Lemma III.1 per cell, α-field
-//! mass conservation, the single-log-scan rule, Theorem II.1), so that
+//! mass conservation, Theorem II.1), so that
 //! `cargo test -p gridtuner-testkit --features check-invariants` actually
 //! executes every gated assertion. Without the feature this is a plain
 //! (and still useful) end-to-end smoke test.
 
 use gridtuner_core::errors::{evaluate_errors, ErrorSample};
-use gridtuner_core::tuner::{GridTuner, SearchStrategy, TunerConfig};
+use gridtuner_engine::{SearchStrategy, TuningSession};
 use gridtuner_spatial::{CountMatrix, Partition};
 use gridtuner_testkit::Scenario;
 use rand::Rng;
@@ -20,17 +20,14 @@ fn tuning_hot_path_upholds_gated_invariants() {
             SearchStrategy::Ternary,
             SearchStrategy::Iterative { init: 3, bound: 2 },
         ] {
-            let tuner = GridTuner::new(TunerConfig {
-                hgrid_budget_side: sc.params.budget_side,
-                side_range: sc.params.side_range(),
-                strategy,
-                alpha_window: sc.window,
-            });
+            let mut session =
+                TuningSession::new(sc.engine_config(strategy), sc.model_fn()).unwrap();
+            session.ingest(&sc.events).unwrap();
             // Under `check-invariants` every probe asserts Lemma III.1 on
-            // each MGrid, the α derivation asserts mass conservation, and
-            // the oracle asserts the one-scan rule.
-            let result = tuner.tune(&sc.events, sc.clock, sc.model_fn());
-            assert_eq!(result.alpha_rescans, 1);
+            // each MGrid and the α derivation asserts mass conservation;
+            // the one-scan rule is the report's counter.
+            let result = session.tune().unwrap();
+            assert_eq!(result.alpha_full_scans, 1);
             let (lo, hi) = sc.params.side_range();
             assert!((lo..=hi).contains(&result.outcome.side));
         }

@@ -10,12 +10,11 @@
 //! trace sink are process-global: parallel test threads would interleave.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{GridTuner, SearchStrategy, TunerConfig};
-use gridtuner_core::upper_bound::UpperBoundOracle;
 use gridtuner_datagen::{City, TripGenerator};
 use gridtuner_dispatch::{DemandView, FleetConfig, Order, Polar, SimConfig, Simulator};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_obs as obs;
-use gridtuner_spatial::Partition;
+use gridtuner_spatial::{Event, Partition};
 use gridtuner_testkit::Json;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -25,30 +24,46 @@ const SIDE_RANGE: (u32, u32) = (2, 24);
 const HISTORY_DAYS: u32 = 14;
 const MODEL_COEF: f64 = 0.05;
 
+/// The goldens' α window: 8:00–8:30 on the history's weekdays.
+const WINDOW: AlphaWindow = AlphaWindow {
+    slot_of_day: 16,
+    day_start: 0,
+    day_end: HISTORY_DAYS,
+    weekdays_only: true,
+};
+
+fn model(s: u32) -> f64 {
+    MODEL_COEF * (s * s) as f64
+}
+
+type Session = TuningSession<fn(u32) -> f64>;
+
+/// A parallel brute-force session tune of `events` (the goldens' setup).
+fn tune(city: &City, events: &[Event]) -> (Session, TuneReport) {
+    let config = EngineConfig {
+        hgrid_budget_side: BUDGET_SIDE,
+        side_range: SIDE_RANGE,
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: WINDOW,
+        clock: *city.clock(),
+        ..EngineConfig::default()
+    };
+    let mut session = TuningSession::new(config, model as fn(u32) -> f64).unwrap();
+    session.ingest(events).unwrap();
+    let report = session.tune_parallel().unwrap();
+    (session, report)
+}
+
 /// The goldens' end-to-end pipeline (same constants as `goldens.rs`):
 /// brute-force tune, error decomposition at the optimum, Polar dispatch
 /// case study. Returns the same summary `Json` the goldens pin.
 fn pipeline(city: City, seed: u64) -> Json {
     let city = city.scaled(SCALE);
-    let window = AlphaWindow {
-        slot_of_day: 16,
-        day_start: 0,
-        day_end: HISTORY_DAYS,
-        weekdays_only: true,
-    };
     let mut rng = StdRng::seed_from_u64(seed);
-    let events = city.sample_history_events(window.slot_of_day, 0..HISTORY_DAYS, &mut rng);
-    let model = |s: u32| MODEL_COEF * (s * s) as f64;
-    let config = TunerConfig {
-        hgrid_budget_side: BUDGET_SIDE,
-        side_range: SIDE_RANGE,
-        strategy: SearchStrategy::BruteForce,
-        alpha_window: window,
-    };
-    let result = GridTuner::new(config).tune_brute_parallel(&events, *city.clock(), model);
+    let events = city.sample_history_events(WINDOW.slot_of_day, 0..HISTORY_DAYS, &mut rng);
+    let (mut session, result) = tune(&city, &events);
     let side = result.outcome.side;
-    let oracle = UpperBoundOracle::new(events.clone(), *city.clock(), window, BUDGET_SIDE, model);
-    let expression = oracle.expression_error(side);
+    let expression = session.expression_error(side).unwrap();
 
     let partition = Partition::for_budget(side, BUDGET_SIDE);
     let trips = TripGenerator::default().trips_for_day(&city, HISTORY_DAYS, &mut rng);
@@ -72,7 +87,7 @@ fn pipeline(city: City, seed: u64) -> Json {
         ("upper_bound", Json::Num(result.outcome.error)),
         ("expression_error", Json::Num(expression)),
         ("evals", Json::Num(result.outcome.evals as f64)),
-        ("alpha_rescans", Json::Num(result.alpha_rescans as f64)),
+        ("alpha_rescans", Json::Num(result.alpha_full_scans as f64)),
         ("served", Json::Num(outcome.served as f64)),
         ("revenue", Json::Num(outcome.revenue)),
         ("travel_km", Json::Num(outcome.travel_km)),
@@ -85,22 +100,9 @@ fn pipeline(city: City, seed: u64) -> Json {
 type TuneSignature = (u32, u64, Vec<(u32, u64)>);
 
 fn tune_signature(city: &City, seed: u64) -> TuneSignature {
-    let window = AlphaWindow {
-        slot_of_day: 16,
-        day_start: 0,
-        day_end: HISTORY_DAYS,
-        weekdays_only: true,
-    };
     let mut rng = StdRng::seed_from_u64(seed);
-    let events = city.sample_history_events(window.slot_of_day, 0..HISTORY_DAYS, &mut rng);
-    let model = |s: u32| MODEL_COEF * (s * s) as f64;
-    let config = TunerConfig {
-        hgrid_budget_side: BUDGET_SIDE,
-        side_range: SIDE_RANGE,
-        strategy: SearchStrategy::BruteForce,
-        alpha_window: window,
-    };
-    let r = GridTuner::new(config).tune_brute_parallel(&events, *city.clock(), model);
+    let events = city.sample_history_events(WINDOW.slot_of_day, 0..HISTORY_DAYS, &mut rng);
+    let (_, r) = tune(city, &events);
     (
         r.outcome.side,
         r.outcome.error.to_bits(),

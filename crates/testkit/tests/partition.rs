@@ -2,7 +2,7 @@
 //!
 //! Three promises of the `SpatialPartition` refactor, checked end to end:
 //!
-//! 1. the trait-dispatched uniform path is *bit-identical* to the legacy
+//! 1. the `Partition` sweep is *bit-identical* to the testkit's reference
 //!    square-grid sweep — per probed side and for the full
 //!    `tune_partition(Uniform)` report — across the `GRIDTUNER_THREADS`
 //!    matrix (1 / 2 / 8), like every other parallel kernel here;
@@ -19,27 +19,19 @@
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::expr_kernel::PmfMemo;
-use gridtuner_core::expression::{total_expression_error_memo, try_partition_expression_error};
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
+use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_datagen::City;
-use gridtuner_engine::{EngineConfig, PartitionKind, PartitionLayout, TuningSession};
-use gridtuner_spatial::{
-    CountMatrix, Partition, QuadTreePartition, RegionId, SpatialPartition, UniformGrid,
+use gridtuner_engine::{
+    EngineConfig, PartitionKind, PartitionLayout, SearchStrategy, TuningSession,
 };
+use gridtuner_spatial::{CountMatrix, Partition, QuadTreePartition, RegionId, SpatialPartition};
+use gridtuner_testkit::reference::expression_error_seq;
 use gridtuner_testkit::{check_golden, Json, Scenario};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn engine_config(s: &Scenario) -> EngineConfig {
-    EngineConfig {
-        clock: s.clock,
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: s.params.budget_side,
-            side_range: s.params.side_range(),
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: s.window,
-        })
-    }
+    s.engine_config(SearchStrategy::BruteForce)
 }
 
 /// Everything the refined search decides, as exactly comparable bits:
@@ -84,8 +76,8 @@ fn quadtree_fingerprint(s: &Scenario) -> QuadFingerprint {
     }
 }
 
-/// The trait-dispatched uniform sweep per side, as bits.
-fn uniform_trait_sweep(s: &Scenario) -> Vec<u64> {
+/// The `Partition` sweep per side, as bits.
+fn uniform_sweep(s: &Scenario) -> Vec<u64> {
     let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
     let memo = PmfMemo::default();
     let (lo, hi) = s.params.side_range();
@@ -93,15 +85,14 @@ fn uniform_trait_sweep(s: &Scenario) -> Vec<u64> {
         .map(|side| {
             let part = Partition::for_budget(side, s.params.budget_side);
             let alpha = cache.alpha(part.hgrid_spec());
-            let legacy = total_expression_error_memo(&alpha, &part, &memo);
-            let uniform = UniformGrid::new(part);
-            let traited = try_partition_expression_error(&alpha, &uniform, Some(&memo)).unwrap();
+            let swept = try_partition_expression_error(&alpha, &part, Some(&memo)).unwrap();
+            let reference = expression_error_seq(&alpha, &part);
             assert_eq!(
-                traited.to_bits(),
-                legacy.to_bits(),
-                "side {side}: trait sweep {traited} != legacy {legacy}"
+                swept.to_bits(),
+                reference.to_bits(),
+                "side {side}: sweep {swept} != reference {reference}"
             );
-            traited.to_bits()
+            swept.to_bits()
         })
         .collect()
 }
@@ -134,7 +125,7 @@ fn partition_paths_are_bit_identical_across_thread_counts() {
         .iter()
         .map(|s| {
             (
-                uniform_trait_sweep(s),
+                uniform_sweep(s),
                 uniform_report_bits(s),
                 quadtree_fingerprint(s),
             )
@@ -144,7 +135,7 @@ fn partition_paths_are_bit_identical_across_thread_counts() {
         gridtuner_par::set_max_threads(threads);
         for (s, expect) in scenarios.iter().zip(&baseline) {
             let got = (
-                uniform_trait_sweep(s),
+                uniform_sweep(s),
                 uniform_report_bits(s),
                 quadtree_fingerprint(s),
             );
@@ -219,13 +210,12 @@ fn partition_golden_for_city(city: City, seed: u64) -> (Json, bool) {
     let events = city.sample_history_events(window.slot_of_day, 0..HISTORY_DAYS, &mut rng);
     let model = |s: u32| MODEL_COEF * (s * s) as f64;
     let config = EngineConfig {
+        hgrid_budget_side: BUDGET_SIDE,
+        side_range: SIDE_RANGE,
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: window,
         clock: *city.clock(),
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: BUDGET_SIDE,
-            side_range: SIDE_RANGE,
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: window,
-        })
+        ..EngineConfig::default()
     };
     let mut session = TuningSession::new(config, model).expect("golden config is valid");
     session

@@ -20,7 +20,7 @@
 //! concurrently-running test in the same binary would observe it
 //! mid-sweep.
 
-use gridtuner_core::tuner::SearchStrategy;
+use gridtuner_engine::SearchStrategy;
 use gridtuner_engine::{EngineConfig, TuningSession};
 use gridtuner_testkit::Scenario;
 

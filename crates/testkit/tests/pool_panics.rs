@@ -14,7 +14,7 @@
 //! [`gridtuner_par::set_max_threads`] is a global override shared by every
 //! test in a binary.
 
-use gridtuner_core::tuner::SearchStrategy;
+use gridtuner_engine::SearchStrategy;
 use gridtuner_engine::{EngineConfig, EngineError, TuningSession};
 use gridtuner_testkit::Scenario;
 

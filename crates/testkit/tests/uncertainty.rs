@@ -10,8 +10,8 @@
 //! mid-sweep (same discipline as `pool.rs`).
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::SearchStrategy;
 use gridtuner_datagen::City;
+use gridtuner_engine::SearchStrategy;
 use gridtuner_engine::{EngineConfig, StabilityVerdict, TuningSession, UncertaintyReport};
 use rand::{rngs::StdRng, SeedableRng};
 

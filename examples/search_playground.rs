@@ -11,14 +11,15 @@
 //! search sometimes misses a jagged minimum while the iterative method
 //! walks into it.
 
-use gridtuner::core::expression::total_expression_error;
+use gridtuner::core::expression::try_partition_expression_error;
 use gridtuner::core::search::{brute_force, iterative_method, ternary_search, SearchOutcome};
+use gridtuner::core::CoreError;
 use gridtuner::datagen::City;
 use gridtuner::predict::{HistoricalAverage, Predictor};
 use gridtuner::spatial::{GridSpec, Partition};
 use rand::{rngs::StdRng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), CoreError> {
     let city = City::chengdu();
     let clock = *city.clock();
     let (lo, hi) = (4u32, 40u32);
@@ -42,7 +43,7 @@ fn main() {
         }
         // Expression-error leg from the true mean field.
         let alpha = city.mean_field(partition.hgrid_spec(), clock.slot_at(28, 16));
-        curve.push(model_err + total_expression_error(&alpha, &partition));
+        curve.push(model_err + try_partition_expression_error(&alpha, &partition, None)?);
     }
     let oracle = |s: u32| curve[(s - lo) as usize];
 
@@ -71,4 +72,5 @@ fn main() {
         100.0 * bf.error / ts.error,
         100.0 * bf.error / it.error
     );
+    Ok(())
 }

@@ -1,11 +1,12 @@
-//! End-to-end pipeline: synthetic city → α estimation → upper-bound oracle
-//! with a real (retrained-per-n) predictor → search → sane partition.
+//! End-to-end pipeline: synthetic city → session ingest (α estimation) →
+//! tune over the upper bound with a real (retrained-per-n) predictor →
+//! sane partition.
 
 use gridtuner::core::alpha::AlphaWindow;
-use gridtuner::core::tuner::{GridTuner, SearchStrategy, TunerConfig};
-use gridtuner::core::upper_bound::{ModelErrorFn, UpperBoundOracle};
 use gridtuner::datagen::{City, DataSplit};
+use gridtuner::engine::{EngineConfig, ModelErrorSource, SearchStrategy, TuningSession};
 use gridtuner::predict::{CityModelError, HistoricalAverage, Predictor};
+use gridtuner::spatial::Event;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn small_city() -> City {
@@ -20,30 +21,40 @@ fn split() -> DataSplit {
     }
 }
 
-fn model_oracle() -> impl ModelErrorFn {
+fn model_oracle() -> impl ModelErrorSource {
     CityModelError::new(small_city(), split(), 5, || {
         Box::new(HistoricalAverage::new()) as Box<dyn Predictor>
     })
     .with_max_eval_slots(12)
 }
 
-#[test]
-fn tuner_produces_interior_optimum_on_uneven_city() {
+/// A session over two weeks of the small city's 8:00 history, sides
+/// 1..=20 on a 32×32 HGrid budget, with a real (retrained-per-n) model leg.
+fn session(history_seed: u64, strategy: SearchStrategy) -> TuningSession<impl ModelErrorSource> {
     let city = small_city();
-    let mut rng = StdRng::seed_from_u64(1);
-    let events = city.sample_history_events(16, 0..14, &mut rng);
-    let tuner = GridTuner::new(TunerConfig {
+    let mut rng = StdRng::seed_from_u64(history_seed);
+    let events: Vec<Event> = city.sample_history_events(16, 0..14, &mut rng);
+    let config = EngineConfig {
         hgrid_budget_side: 32,
         side_range: (1, 20),
-        strategy: SearchStrategy::BruteForce,
+        strategy,
         alpha_window: AlphaWindow {
             slot_of_day: 16,
             day_start: 0,
             day_end: 14,
             weekdays_only: true,
         },
-    });
-    let result = tuner.tune(&events, *city.clock(), model_oracle());
+        clock: *city.clock(),
+        ..EngineConfig::default()
+    };
+    let mut session = TuningSession::new(config, model_oracle()).unwrap();
+    session.ingest(&events).unwrap();
+    session
+}
+
+#[test]
+fn tuner_produces_interior_optimum_on_uneven_city() {
+    let result = session(1, SearchStrategy::BruteForce).tune().unwrap();
     // The optimum must be strictly inside the range: the error curve is
     // U-shaped (Sec. III-C).
     assert!(
@@ -57,20 +68,12 @@ fn tuner_produces_interior_optimum_on_uneven_city() {
 
 #[test]
 fn upper_bound_oracle_decomposition_is_consistent() {
-    let city = small_city();
-    let mut rng = StdRng::seed_from_u64(2);
-    let events = city.sample_history_events(16, 0..14, &mut rng);
-    let window = AlphaWindow {
-        slot_of_day: 16,
-        day_start: 0,
-        day_end: 14,
-        weekdays_only: true,
-    };
-    let mut oracle = UpperBoundOracle::new(events, *city.clock(), window, 32, model_oracle());
+    let mut session = session(2, SearchStrategy::BruteForce);
+    let report = session.tune().unwrap();
     for side in [2u32, 8, 16] {
-        let e = gridtuner::core::search::ErrorOracle::eval(&mut oracle, side);
-        let expr = oracle.expression_error(side);
-        let model = oracle.model_error(side);
+        let (_, e) = *report.outcome.probes.iter().find(|p| p.0 == side).unwrap();
+        let expr = session.expression_error(side).unwrap();
+        let model = session.model_error(side).unwrap();
         assert!(
             (e - (expr + model)).abs() < 1e-6,
             "decomposition broken at side {side}"
@@ -78,33 +81,16 @@ fn upper_bound_oracle_decomposition_is_consistent() {
         assert!(expr >= 0.0 && model >= 0.0);
     }
     // Monotone legs (the paper's core tension).
-    assert!(oracle.expression_error(2) > oracle.expression_error(16));
-    assert!(oracle.model_error(16) > oracle.model_error(2));
+    assert!(session.expression_error(2).unwrap() > session.expression_error(16).unwrap());
+    assert!(session.model_error(16).unwrap() > session.model_error(2).unwrap());
 }
 
 #[test]
 fn heuristic_searches_close_to_brute_force_end_to_end() {
-    let city = small_city();
-    let mut rng = StdRng::seed_from_u64(3);
-    let events = city.sample_history_events(16, 0..14, &mut rng);
-    let cfg = |strategy| TunerConfig {
-        hgrid_budget_side: 32,
-        side_range: (1, 20),
-        strategy,
-        alpha_window: AlphaWindow {
-            slot_of_day: 16,
-            day_start: 0,
-            day_end: 14,
-            weekdays_only: true,
-        },
-    };
-    let clock = *city.clock();
-    let bf = GridTuner::new(cfg(SearchStrategy::BruteForce)).tune(&events, clock, model_oracle());
-    let it = GridTuner::new(cfg(SearchStrategy::Iterative { init: 16, bound: 4 })).tune(
-        &events,
-        clock,
-        model_oracle(),
-    );
+    let bf = session(3, SearchStrategy::BruteForce).tune().unwrap();
+    let it = session(3, SearchStrategy::Iterative { init: 16, bound: 4 })
+        .tune()
+        .unwrap();
     assert!(
         it.outcome.error <= bf.outcome.error * 1.10,
         "iterative {} vs brute {}",

@@ -5,33 +5,55 @@ use gridtuner::core::alpha::AlphaWindow;
 use gridtuner::core::search::{
     brute_force, iterative_method, ternary_search, ErrorOracle, MemoOracle,
 };
-use gridtuner::core::upper_bound::UpperBoundOracle;
 use gridtuner::datagen::City;
+use gridtuner::engine::{
+    EngineConfig, ModelErrorSource, SearchOutcome, SearchStrategy, TuningSession,
+};
 use rand::{rngs::StdRng, SeedableRng};
 
-/// A realistic (jagged, roughly U-shaped) oracle: analytic expression error
-/// of a preset city plus a quadratic model-error surrogate.
-fn city_oracle(city: City, coef: f64) -> impl ErrorOracle {
-    let mut rng = StdRng::seed_from_u64(4);
-    let events = city.sample_history_events(16, 0..14, &mut rng);
-    let clock = *city.clock();
-    let window = AlphaWindow {
-        slot_of_day: 16,
-        day_start: 0,
-        day_end: 14,
-        weekdays_only: true,
+/// A session over a preset city's weekday history at slot-of-day `sod`:
+/// the analytic expression error of the city plus a quadratic model-error
+/// surrogate, a realistic (jagged, roughly U-shaped) upper bound, searched
+/// over `range` on a 64×64 HGrid budget.
+fn city_session(
+    city: &City,
+    history_seed: u64,
+    sod: u32,
+    coef: f64,
+    range: (u32, u32),
+    strategy: SearchStrategy,
+) -> TuningSession<impl ModelErrorSource> {
+    let mut rng = StdRng::seed_from_u64(history_seed);
+    let events = city.sample_history_events(sod, 0..14, &mut rng);
+    let config = EngineConfig {
+        hgrid_budget_side: 64,
+        side_range: range,
+        strategy,
+        alpha_window: AlphaWindow {
+            slot_of_day: sod,
+            day_start: 0,
+            day_end: 14,
+            weekdays_only: true,
+        },
+        clock: *city.clock(),
+        ..EngineConfig::default()
     };
-    UpperBoundOracle::new(events, clock, window, 64, move |s: u32| {
-        (s * s) as f64 * coef
-    })
+    let mut session = TuningSession::new(config, move |s: u32| (s * s) as f64 * coef).unwrap();
+    session.ingest(&events).unwrap();
+    session
+}
+
+fn tune(city: &City, strategy: SearchStrategy) -> SearchOutcome {
+    let mut session = city_session(city, 4, 16, 1.0, (2, 32), strategy);
+    session.tune().unwrap().outcome
 }
 
 #[test]
 fn heuristics_beat_brute_force_on_evaluations() {
     let city = City::chengdu().scaled(0.05);
-    let bf = brute_force(city_oracle(city.clone(), 1.0), 2, 32);
-    let ts = ternary_search(city_oracle(city.clone(), 1.0), 2, 32);
-    let it = iterative_method(city_oracle(city, 1.0), 2, 32, 16, 4);
+    let bf = tune(&city, SearchStrategy::BruteForce);
+    let ts = tune(&city, SearchStrategy::Ternary);
+    let it = tune(&city, SearchStrategy::Iterative { init: 16, bound: 4 });
     assert_eq!(bf.evals, 31);
     assert!(ts.evals < bf.evals / 2, "ternary evals {}", ts.evals);
     assert!(it.evals < bf.evals, "iterative evals {}", it.evals);
@@ -46,20 +68,10 @@ fn per_slot_optima_vary_across_the_day() {
     // α field (and total volume) changes. Compare the morning-peak slot to
     // a night slot: the optimum differs or at least both are interior.
     let city = City::nyc().scaled(0.05);
-    let clock = *city.clock();
     let mut optima = Vec::new();
     for sod in [4u32, 16] {
-        let mut rng = StdRng::seed_from_u64(8);
-        let events = city.sample_history_events(sod, 0..14, &mut rng);
-        let window = AlphaWindow {
-            slot_of_day: sod,
-            day_start: 0,
-            day_end: 14,
-            weekdays_only: true,
-        };
-        let oracle =
-            UpperBoundOracle::new(events, clock, window, 64, |s: u32| (s * s) as f64 * 0.6);
-        let out = brute_force(oracle, 1, 28);
+        let mut session = city_session(&city, 8, sod, 0.6, (1, 28), SearchStrategy::BruteForce);
+        let out = session.tune().unwrap().outcome;
         assert!(out.side >= 1 && out.side <= 28);
         optima.push((sod, out.side));
     }
@@ -74,7 +86,10 @@ fn per_slot_optima_vary_across_the_day() {
 #[test]
 fn memoization_shares_work_across_strategies() {
     let city = City::xian().scaled(0.05);
-    let mut memo = MemoOracle::new(city_oracle(city, 1.0));
+    let mut session = city_session(&city, 4, 16, 1.0, (2, 32), SearchStrategy::BruteForce);
+    let mut memo = MemoOracle::new(|s: u32| {
+        session.expression_error(s).unwrap() + session.model_error(s).unwrap()
+    });
     let a = memo.eval(10);
     let b = memo.eval(10);
     assert_eq!(a, b);
