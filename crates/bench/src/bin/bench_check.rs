@@ -38,7 +38,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 
 /// Baseline schema this sentinel understands.
-const BENCH_SCHEMA: &str = "gridtuner.bench_tune/5";
+const BENCH_SCHEMA: &str = "gridtuner.bench_tune/6";
 
 /// One metric's comparison outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

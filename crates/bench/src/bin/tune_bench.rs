@@ -21,19 +21,13 @@
 //! (so the persistent pool is spawned) and then asserts `par.pool_spawns`
 //! stays flat across the measured 73-probe tune; the row records the
 //! pool/lock counters alongside the wall time and the speedup vs the
-//! 1-thread row.
-//!
-//! A third isolation row times the SIMD axis (`simd`): the same
-//! single-threaded per-cell sweep under the AVX2 backend vs its forced
-//! scalar emulation (`gridtuner_core::set_simd_enabled`), per-side
-//! interleaved best-of-reps like the kernel row, with the two totals
-//! asserted **bit-identical** — the vectorised kernel's determinism
-//! contract, measured where it is also a speedup.
+//! 1-thread row. A row whose thread count exceeds the host's
+//! `available_parallelism` gets a `WARN` line: it measures
+//! oversubscription, not scaling.
 //!
 //! ```text
 //! cargo run --release -p gridtuner-bench --bin tune_bench \
-//!     [-- --scale X] [--min-kernel-speedup S] [--min-thread-speedup S] \
-//!     [--min-simd-speedup S]
+//!     [-- --scale X] [--min-kernel-speedup S] [--min-thread-speedup S]
 //! ```
 //!
 //! `--min-kernel-speedup S` makes the run exit non-zero when the batched
@@ -44,14 +38,11 @@
 //! tune at the largest thread count is less than `S`× faster than the
 //! 1-thread tune — the CI thread-scaling gate (skipped with a warning when
 //! the machine itself has fewer than 2 CPUs, where no thread count can
-//! help). `--min-simd-speedup S` gates the vector-vs-scalar-emulation
-//! ratio the same way (skipped with a warning on machines without AVX2,
-//! where both sides run the same scalar code). `--profile` captures the
-//! cached sweep's trace in memory and prints the profile analyzer's
-//! self-time / worker-utilization / critical-path tables to stderr after
-//! the sweep.
+//! help). `--profile` captures the cached sweep's trace in memory and
+//! prints the profile analyzer's self-time / worker-utilization /
+//! critical-path tables to stderr after the sweep.
 
-use gridtuner_bench::kernel_timing::{time_kernels, time_simd};
+use gridtuner_bench::kernel_timing::time_kernels;
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::estimate_alpha;
 use gridtuner_core::expression::expression_error_windowed;
@@ -66,10 +57,10 @@ use std::time::Instant;
 /// Schema tag of `BENCH_tune.json` — bump when fields change meaning.
 /// v3 adds `kernel`, `thread_rows` and the `expr_*` counters. v4 extends
 /// `thread_rows` with `speedup_vs_1t` and the pool/lock counters, and
-/// adds the top-level `pool` object. v5 adds the `simd` isolation object
-/// (backend, vector/scalar-emulation timings, speedup) and the
-/// `expr_simd_*` counters.
-const BENCH_SCHEMA: &str = "gridtuner.bench_tune/5";
+/// adds the top-level `pool` object. v5 added a `simd` isolation object
+/// and two SIMD routing counters; v6 drops all three with the kernel's
+/// second backend.
+const BENCH_SCHEMA: &str = "gridtuner.bench_tune/6";
 
 /// Thread counts the determinism sweep re-tunes under.
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
@@ -149,10 +140,6 @@ struct BenchArgs {
     /// than this factor faster than the 1-thread tune (skipped on
     /// single-CPU machines).
     min_thread_speedup: Option<f64>,
-    /// When set, exit non-zero if the vector backend is less than this
-    /// factor faster than its scalar emulation (skipped on machines
-    /// without AVX2, where both sides run the same code).
-    min_simd_speedup: Option<f64>,
     /// Capture the cached sweep's trace and print the profile analysis.
     profile: bool,
 }
@@ -162,7 +149,6 @@ fn parse_args(args: &[String]) -> BenchArgs {
         scale: 1.0,
         min_kernel_speedup: None,
         min_thread_speedup: None,
-        min_simd_speedup: None,
         profile: false,
     };
     let mut i = 0;
@@ -179,10 +165,6 @@ fn parse_args(args: &[String]) -> BenchArgs {
             "--min-thread-speedup" => {
                 i += 1;
                 out.min_thread_speedup = args.get(i).and_then(|s| s.parse().ok());
-            }
-            "--min-simd-speedup" => {
-                i += 1;
-                out.min_simd_speedup = args.get(i).and_then(|s| s.parse().ok());
             }
             "--profile" => out.profile = true,
             _ => {}
@@ -304,27 +286,6 @@ fn main() {
         probed.len()
     );
 
-    // SIMD isolation: the same per-cell sweep under the vector backend vs
-    // its forced scalar emulation. The per-cell path builds fresh pmf
-    // tables every call, so the vectorised fill/fold actually runs
-    // instead of being served from the cross-probe pmf memo — and the two
-    // totals must be bit-identical, because the scalar emulation replays
-    // the canonical 4-lane association exactly.
-    let st = time_simd(cache, &probed, budget, 3);
-    assert_eq!(
-        st.vector_total.to_bits(),
-        st.scalar_total.to_bits(),
-        "SIMD backends disagree bitwise on total expression error: {} vs {}",
-        st.vector_total,
-        st.scalar_total
-    );
-    let simd_speedup = st.speedup();
-    eprintln!(
-        "[tune_bench] simd: vector {:.1} ms vs scalar emulation {:.1} ms ({simd_speedup:.2}x, \
-         avx2 {}), totals bit-identical",
-        st.vector_ms, st.scalar_ms, st.avx2
-    );
-
     // Determinism + scaling sweep: the same tune under 1/2/8 workers must
     // select the same side with a bit-identical error and probe
     // decomposition. Each count tunes twice — an unmeasured warmup that
@@ -337,7 +298,14 @@ fn main() {
     let mut sweep_ref: Option<SweepKey> = None;
     let mut wall_1t = f64::NAN;
     let mut sweep_last = f64::NAN;
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     for threads in THREAD_SWEEP {
+        if threads > cpus {
+            eprintln!(
+                "[tune_bench] WARN: thread row {threads} exceeds available_parallelism \
+                 {cpus}; it measures oversubscription, not scaling"
+            );
+        }
         gridtuner_par::set_max_threads(threads);
         let mut warm = TuningSession::new(cfg, model).expect("valid bench config");
         warm.ingest(&events).expect("finite synthetic events");
@@ -419,26 +387,11 @@ fn main() {
             Val::from(result.expr_workspace_bytes),
         ),
         (
-            "expr_simd_lanes_used",
-            Val::from(result.expr_simd_lanes_used),
-        ),
-        ("expr_simd_fallbacks", Val::from(result.expr_simd_fallbacks)),
-        (
             "kernel",
             Val::obj(vec![
                 ("percell_ms", Val::from(percell_ms)),
                 ("batched_ms", Val::from(batched_ms)),
                 ("speedup", Val::from(kernel_speedup)),
-            ]),
-        ),
-        (
-            "simd",
-            Val::obj(vec![
-                ("backend", Val::from(gridtuner_engine::simd_diagnostics())),
-                ("avx2", Val::from(st.avx2)),
-                ("vector_ms", Val::from(st.vector_ms)),
-                ("scalar_ms", Val::from(st.scalar_ms)),
-                ("speedup", Val::from(simd_speedup)),
             ]),
         ),
         ("thread_rows", Val::Arr(thread_rows)),
@@ -490,25 +443,7 @@ fn main() {
         }
     }
 
-    if let Some(min) = args.min_simd_speedup {
-        if !st.avx2 {
-            eprintln!(
-                "[tune_bench] WARN: simd speedup gate skipped — machine has no AVX2; \
-                 measured {simd_speedup:.2}x vector vs scalar emulation"
-            );
-        } else if simd_speedup < min {
-            eprintln!(
-                "[tune_bench] FAIL: vector-vs-scalar-emulation speedup {simd_speedup:.2}x \
-                 below the required {min}x"
-            );
-            std::process::exit(1);
-        } else {
-            eprintln!("[tune_bench] simd speedup gate passed ({simd_speedup:.2}x >= {min}x)");
-        }
-    }
-
     if let Some(min) = args.min_thread_speedup {
-        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
         if cpus < 2 {
             eprintln!(
                 "[tune_bench] WARN: thread speedup gate skipped — machine has {cpus} CPU; \
@@ -557,7 +492,6 @@ mod tests {
                 scale: 0.5,
                 min_kernel_speedup: Some(1.5),
                 min_thread_speedup: None,
-                min_simd_speedup: None,
                 profile: false
             }
         );
@@ -580,37 +514,11 @@ mod tests {
                 scale: 1.0,
                 min_kernel_speedup: Some(2.0),
                 min_thread_speedup: Some(2.5),
-                min_simd_speedup: None,
                 profile: false
             }
         );
         assert_eq!(
             parse_args(&argv("--min-thread-speedup nope")).min_thread_speedup,
-            None
-        );
-    }
-
-    #[test]
-    fn simd_speedup_gate_parsing() {
-        assert_eq!(parse_args(&argv("")).min_simd_speedup, None);
-        assert_eq!(
-            parse_args(&argv("--min-simd-speedup 1.5")).min_simd_speedup,
-            Some(1.5)
-        );
-        assert_eq!(
-            parse_args(&argv(
-                "--min-kernel-speedup 2 --min-thread-speedup 2.5 --min-simd-speedup 1.5"
-            )),
-            BenchArgs {
-                scale: 1.0,
-                min_kernel_speedup: Some(2.0),
-                min_thread_speedup: Some(2.5),
-                min_simd_speedup: Some(1.5),
-                profile: false
-            }
-        );
-        assert_eq!(
-            parse_args(&argv("--min-simd-speedup nope")).min_simd_speedup,
             None
         );
     }

@@ -10,13 +10,6 @@
 //! kernels *per side* (≈ms granularity, so machine-speed drift lands on
 //! both sides of the ratio equally) and keeps the per-kernel minimum
 //! across `reps` passes — the classic robust timing statistic.
-//!
-//! [`time_simd`] applies the same discipline to a different axis: the
-//! *same* sweep under the AVX2 backend vs its bit-identical scalar
-//! emulation (toggled via [`gridtuner_core::set_simd_enabled`]). The
-//! workload is the per-cell sweep on purpose — every call builds fresh
-//! pmf tables, so the vectorised fill/fold actually runs instead of
-//! being served from the cross-probe pmf memo.
 
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_spatial::Partition;
@@ -83,78 +76,5 @@ pub fn time_kernels(
             out.batched_total = batched_total;
         }
     }
-    out
-}
-
-/// Minima over `reps` interleaved passes of the same sweep under the
-/// vector backend vs its scalar emulation, plus the totals each produced
-/// (bit-compared by the callers — identity is the whole point).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimdTiming {
-    pub vector_ms: f64,
-    pub scalar_ms: f64,
-    pub vector_total: f64,
-    pub scalar_total: f64,
-    /// Whether the host has AVX2 — i.e. whether the vector side actually
-    /// ran vector code. When false both sides are the scalar emulation
-    /// and the speedup is ≈1 by construction — gates must self-skip
-    /// instead of failing.
-    pub avx2: bool,
-}
-
-impl SimdTiming {
-    pub fn speedup(&self) -> f64 {
-        self.scalar_ms / self.vector_ms.max(1e-9)
-    }
-}
-
-/// Times the per-cell expression sweep over `probed` sides under the
-/// vector backend and under forced scalar emulation, interleaved per
-/// side with the per-backend minimum kept across `reps` passes.
-///
-/// The backend is flipped with [`gridtuner_core::set_simd_enabled`] and
-/// restored afterwards; flipping it mid-process is safe because both
-/// backends share the canonical 4-lane association and produce
-/// identical bits.
-pub fn time_simd(cache: &AlphaFieldCache, probed: &[u32], budget: u32, reps: usize) -> SimdTiming {
-    let prev = gridtuner_core::simd_enabled();
-    let avx2 = gridtuner_core::simd::avx2_available();
-    let mut out = SimdTiming {
-        vector_ms: f64::INFINITY,
-        scalar_ms: f64::INFINITY,
-        vector_total: 0.0,
-        scalar_total: 0.0,
-        avx2,
-    };
-    for _ in 0..reps.max(1) {
-        let mut vector_ms = 0.0f64;
-        let mut scalar_ms = 0.0f64;
-        let mut vector_total = 0.0f64;
-        let mut scalar_total = 0.0f64;
-        for &s in probed {
-            let part = Partition::for_budget(s, budget);
-            gridtuner_core::set_simd_enabled(true);
-            let t = Instant::now();
-            vector_total += cache.with_alpha(part.hgrid_spec(), |alpha| {
-                expression_error_percell(alpha, &part)
-            });
-            vector_ms += t.elapsed().as_secs_f64() * 1e3;
-            gridtuner_core::set_simd_enabled(false);
-            let t = Instant::now();
-            scalar_total += cache.with_alpha(part.hgrid_spec(), |alpha| {
-                expression_error_percell(alpha, &part)
-            });
-            scalar_ms += t.elapsed().as_secs_f64() * 1e3;
-        }
-        if vector_ms < out.vector_ms {
-            out.vector_ms = vector_ms;
-            out.vector_total = vector_total;
-        }
-        if scalar_ms < out.scalar_ms {
-            out.scalar_ms = scalar_ms;
-            out.scalar_total = scalar_total;
-        }
-    }
-    gridtuner_core::set_simd_enabled(prev);
     out
 }

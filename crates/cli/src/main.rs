@@ -211,10 +211,6 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
     // tune stayed inline).
     let (ceiling, live) = gridtuner::engine::thread_diagnostics();
     eprintln!("threads: ceiling {ceiling}, pool workers live {live}");
-    eprintln!(
-        "simd: backend {} (bit-identical either way)",
-        gridtuner::engine::simd_diagnostics()
-    );
     println!("optimal_side\t{}", result.outcome.side);
     println!("optimal_n\t{0}x{0}", result.outcome.side);
     println!("upper_bound_error\t{:.2}", result.outcome.error);
@@ -576,12 +572,9 @@ fn fail(e: &CliError) -> ! {
 }
 
 fn main() {
-    // A malformed GRIDTUNER_THREADS or GRIDTUNER_SIMD is a diagnostic,
-    // not a silent fallback: surface it before any work starts.
+    // A malformed GRIDTUNER_THREADS is a diagnostic, not a silent
+    // fallback: surface it before any work starts.
     if let Err(e) = gridtuner::engine::thread_override() {
-        fail(&CliError::Engine(e));
-    }
-    if let Err(e) = gridtuner::engine::simd_override() {
         fail(&CliError::Engine(e));
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();

@@ -32,7 +32,7 @@
 
 use crate::error::CoreError;
 use crate::poisson::{mass_window, poisson_pmf_into};
-use crate::simd::{F64x4, Lanes, ScalarLanes};
+use crate::simd::F64x4;
 use gridtuner_obs as obs;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -86,15 +86,14 @@ const CKPT_STRIDE: usize = 64;
 /// first-moment prefix values the Algorithm 2 brackets read are folded on
 /// the fly during evaluation, resumed from sparse checkpoints of the fold
 /// state stored every [`CKPT_STRIDE`] entries. The fold is the
-/// **canonical 4-lane association** (see [`crate::simd`]): within a
+/// **canonical 4-lane association** (see `simd.rs`): within a
 /// stride, entry `j` accumulates into lane `j mod 4`, and stride
 /// boundaries fold the four lanes down `(l₀+l₁)+(l₂+l₃)` into a scalar
-/// base — so the AVX2 fill, the scalar-emulation fill and the
-/// entry-at-a-time evaluation walk all produce identical bits, while each
-/// table holds one full-length buffer instead of three (≈3× more tables
-/// fit a given memo budget). Fills in place, so a scratch instance reused
-/// across cells stops allocating once its buffers reach the largest
-/// window seen.
+/// base — so the four-wide fill and the entry-at-a-time evaluation walk
+/// produce identical bits, while each table holds one full-length buffer
+/// instead of three (≈3× more tables fit a given memo budget). Fills in
+/// place, so a scratch instance reused across cells stops allocating once
+/// its buffers reach the largest window seen.
 #[derive(Debug, Clone, Default)]
 pub struct PmfTable {
     lo: u64,
@@ -126,7 +125,7 @@ impl PmfTable {
         poisson_pmf_into(rate, lo, hi, &mut self.pmf);
         self.ckpt.clear();
         self.ckpt.push((0.0, 0.0));
-        let (c, s) = fold_dispatch(lo, &self.pmf, &mut self.ckpt);
+        let (c, s) = fold_body(lo, &self.pmf, &mut self.ckpt);
         self.lo = lo;
         self.hi = hi;
         self.cum_total = c;
@@ -166,40 +165,14 @@ impl PmfTable {
     }
 }
 
-/// Routes the checkpoint fold to the AVX2 instantiation when enabled and
-/// to the scalar emulation otherwise, bumping the SIMD routing counters
-/// once per fill (never inside the lane loops).
-fn fold_dispatch(lo: u64, pmf: &[f64], ckpt: &mut Vec<(f64, f64)>) -> (f64, f64) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::simd_enabled() {
-        obs::counter!("expr.simd_lanes_used").add(pmf.len() as u64);
-        // Safety: simd_enabled() implies AVX2 was detected at runtime.
-        return unsafe { fold_avx2(lo, pmf, ckpt) };
-    }
-    obs::counter!("expr.simd_fallbacks").inc();
-    fold_scalar(lo, pmf, ckpt)
-}
-
-fn fold_scalar(lo: u64, pmf: &[f64], ckpt: &mut Vec<(f64, f64)>) -> (f64, f64) {
-    // Safety: the scalar emulation has no hardware precondition.
-    unsafe { fold_body::<ScalarLanes>(lo, pmf, ckpt) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fold_avx2(lo: u64, pmf: &[f64], ckpt: &mut Vec<(f64, f64)>) -> (f64, f64) {
-    fold_body::<crate::simd::Avx2Lanes>(lo, pmf, ckpt)
-}
-
-/// The canonical 4-lane (cum, mom) fold, written once over the [`Lanes`]
-/// backend: entry `j` accumulates into lane `j mod 4` (`mom` as mul then
-/// add — never fused), every [`CKPT_STRIDE`] entries the lanes fold down
-/// `(l₀+l₁)+(l₂+l₃)` into the scalar base and a checkpoint is pushed,
-/// and the return value is the base plus the final partial lanes. The
-/// stride is a multiple of 4, so full strides are whole 4-wide waves and
-/// the sub-wave tail lands in the same lanes a wave would have used.
-#[inline(always)]
-unsafe fn fold_body<B: Lanes>(lo: u64, pmf: &[f64], ckpt: &mut Vec<(f64, f64)>) -> (f64, f64) {
+/// The canonical 4-lane (cum, mom) fold: entry `j` accumulates into lane
+/// `j mod 4` (`mom` as mul then add — never fused), every [`CKPT_STRIDE`]
+/// entries the lanes fold down `(l₀+l₁)+(l₂+l₃)` into the scalar base and
+/// a checkpoint is pushed, and the return value is the base plus the final
+/// partial lanes. The stride is a multiple of 4, so full strides are whole
+/// 4-wide waves and the sub-wave tail lands in the same lanes a wave would
+/// have used.
+fn fold_body(lo: u64, pmf: &[f64], ckpt: &mut Vec<(f64, f64)>) -> (f64, f64) {
     let len = pmf.len();
     let mut base_c = 0.0f64;
     let mut base_s = 0.0f64;
@@ -209,11 +182,9 @@ unsafe fn fold_body<B: Lanes>(lo: u64, pmf: &[f64], ckpt: &mut Vec<(f64, f64)>) 
     while j + CKPT_STRIDE <= len {
         let stride_end = j + CKPT_STRIDE;
         while j < stride_end {
-            let p = B::load(&pmf[j..]);
-            let k0 = lo + j as u64;
-            let kv = F64x4([k0 as f64, (k0 + 1) as f64, (k0 + 2) as f64, (k0 + 3) as f64]);
-            cl = B::add(cl, p);
-            sl = B::add(sl, B::mul(kv, p));
+            let p = F64x4::load(&pmf[j..]);
+            cl = cl + p;
+            sl = sl + F64x4::ramp(lo + j as u64) * p;
             j += 4;
         }
         base_c += cl.hsum();
@@ -224,11 +195,9 @@ unsafe fn fold_body<B: Lanes>(lo: u64, pmf: &[f64], ckpt: &mut Vec<(f64, f64)>) 
     }
     // Whole waves past the last checkpoint…
     while j + 4 <= len {
-        let p = B::load(&pmf[j..]);
-        let k0 = lo + j as u64;
-        let kv = F64x4([k0 as f64, (k0 + 1) as f64, (k0 + 2) as f64, (k0 + 3) as f64]);
-        cl = B::add(cl, p);
-        sl = B::add(sl, B::mul(kv, p));
+        let p = F64x4::load(&pmf[j..]);
+        cl = cl + p;
+        sl = sl + F64x4::ramp(lo + j as u64) * p;
         j += 4;
     }
     // …then the sub-wave tail, entry by entry into its canonical lane.
@@ -257,8 +226,7 @@ unsafe fn fold_body<B: Lanes>(lo: u64, pmf: &[f64], ckpt: &mut Vec<(f64, f64)>) 
 /// entry `j` lands in lane `j mod 4`, stride boundaries fold the lanes
 /// into the scalar base, and a prefix query reads base plus the partial
 /// lanes' tree fold. Checkpoints, the walk and the totals are all states
-/// of that same fold, so every path — including the AVX2 fill — yields
-/// identical bits.
+/// of that same fold, so every path yields identical bits.
 fn eval_tables(ta: &PmfTable, tb: &PmfTable, m: usize) -> f64 {
     debug_assert!(m > 1, "group evaluation requires m > 1");
     let lb = tb.lo as i64;
@@ -914,33 +882,6 @@ mod tests {
         base_s += (sl[0] + sl[1]) + (sl[2] + sl[3]);
         assert_eq!(t.cum_total.to_bits(), base_c.to_bits());
         assert_eq!(t.mom_total.to_bits(), base_s.to_bits());
-    }
-
-    #[test]
-    fn table_backends_are_bitwise_identical() {
-        // Fill + fold + evaluation must not depend on which backend ran:
-        // the AVX2 instantiation and the scalar emulation share the
-        // canonical lane association. (Without AVX2 both passes run the
-        // scalar body and the comparison is trivially true.)
-        let prev = crate::simd::simd_enabled();
-        for &(a, b, m) in CASES {
-            crate::simd::set_simd_enabled(false);
-            let (sc, ss, se) = {
-                let ta = PmfTable::build(a);
-                let tb = PmfTable::build(b);
-                (tb.cum_total, tb.mom_total, eval_tables(&ta, &tb, m))
-            };
-            crate::simd::set_simd_enabled(true);
-            let (vc, vs, ve) = {
-                let ta = PmfTable::build(a);
-                let tb = PmfTable::build(b);
-                (tb.cum_total, tb.mom_total, eval_tables(&ta, &tb, m))
-            };
-            crate::simd::set_simd_enabled(prev);
-            assert_eq!(sc.to_bits(), vc.to_bits(), "cum_total drift at b={b}");
-            assert_eq!(ss.to_bits(), vs.to_bits(), "mom_total drift at b={b}");
-            assert_eq!(se.to_bits(), ve.to_bits(), "E_e drift at ({a}, {b}, {m})");
-        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!
 //! * [`poisson`] — numerically-stable Poisson machinery (log-space pmf,
 //!   closed-form mean absolute deviation, exact sampling);
-//! * [`simd`] — the dependency-free 4-lane `f64` layer the hot kernels
-//!   dispatch through: AVX2 intrinsics under runtime detection, with a
-//!   bit-exact scalar emulation of the same canonical lane association;
+//! * [`expr_kernel`] — the batched expression-error kernel of every field
+//!   sweep: pmf tables, rate dedup and a cross-probe memo, all in one
+//!   canonical 4-lane association written in plain, safe Rust;
 //! * [`expression`] — the expression error `E_e(i,j) = E|λ̄_ij − λ_ij|`
 //!   under the Poisson model: the naive `O(mK³)` computation, the paper's
 //!   Algorithm 1 (`O(mK²)`), Algorithm 2 (`O(mK)`), and an adaptive-window
@@ -41,6 +41,9 @@
 
 // Library code must not panic on fallible paths; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// The kernels' bits come from their lane association, not from hand-written
+// intrinsics; keep it that way.
+#![forbid(unsafe_code)]
 
 pub mod alpha;
 pub mod alpha_cache;
@@ -54,7 +57,7 @@ pub mod metrics;
 pub mod poisson;
 pub mod resample;
 pub mod search;
-pub mod simd;
+mod simd;
 pub mod upper_bound;
 
 pub use alpha::estimate_alpha;
@@ -74,5 +77,4 @@ pub use search::{
     try_brute_force_parallel, try_iterative_method, try_ternary_search, ErrorOracle, MemoOracle,
     SearchOutcome, SyncErrorOracle,
 };
-pub use simd::{env_simd_override, set_simd_enabled, simd_enabled, SimdBackend};
 pub use upper_bound::{ModelErrorSource, SyncModelErrorSource};

@@ -15,11 +15,11 @@
 //! `p(k±4) = p(k)·λ⁴∕∏(consecutive factors)`. Every entry is a pure
 //! function of `(λ, clamped mode, k)` — not of the window bounds — so
 //! partial windows that contain the mode match full windows bit for bit.
-//! The four lanes run through [`crate::simd`]: AVX2 intrinsics where the
-//! CPU has them, the bit-exact scalar emulation of the same lane
-//! association everywhere else (`GRIDTUNER_SIMD=0` forces the latter).
+//! The four lanes are a plain-Rust `F64x4` (`simd.rs`) with lane-wise
+//! IEEE 754 ops, so the association — and with it every bit — is fixed
+//! by this source, whatever the compiler vectorises it to.
 
-use crate::simd::{F64x4, Lanes, ScalarLanes};
+use crate::simd::F64x4;
 
 /// Natural log of the Gamma function (Lanczos approximation, g = 7, 9
 /// coefficients; |relative error| < 1e-13 over the positive reals).
@@ -60,8 +60,8 @@ const LN_FACT_TABLE_LEN: usize = 1024;
 /// The `ln k!` lookup table, built once on first use. Each entry is the
 /// value [`ln_gamma`]`(k + 1)` would return, so table hits are
 /// bit-identical to the direct evaluation. Stored as a fixed array, not
-/// a `Vec`: the pmf anchor path (and its AVX2 gather) reads straight off
-/// the static without the extra pointer hop through a heap allocation.
+/// a `Vec`: the pmf anchor path (the four-lane seed gather) reads straight
+/// off the static without the extra pointer hop through a heap allocation.
 fn ln_fact_table() -> &'static [f64; LN_FACT_TABLE_LEN] {
     use std::sync::OnceLock;
     static TABLE: OnceLock<[f64; LN_FACT_TABLE_LEN]> = OnceLock::new();
@@ -85,11 +85,21 @@ pub fn ln_factorial(k: u64) -> f64 {
     }
 }
 
+/// Panics unless `lambda` is a valid Poisson mean. NaN fails `>= 0` as
+/// well, so the message names both causes; `+∞` passes `>= 0` but would
+/// fill windows with non-finite values.
+fn check_mean(lambda: f64) {
+    assert!(
+        lambda.is_finite() && lambda >= 0.0,
+        "Poisson mean must be finite and non-negative, got {lambda}"
+    );
+}
+
 /// Log of the Poisson pmf `P(X = k)` for `X ~ Pois(lambda)`.
 ///
 /// `lambda = 0` is the degenerate point mass at zero.
 pub fn poisson_ln_pmf(lambda: f64, k: u64) -> f64 {
-    assert!(lambda >= 0.0, "negative Poisson mean");
+    check_mean(lambda);
     if lambda == 0.0 {
         return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
     }
@@ -106,12 +116,10 @@ pub fn poisson_pmf(lambda: f64, k: u64) -> f64 {
 /// buffer's capacity — the batched expression-error kernel leans on that.
 ///
 /// The fill is the stride-4 mode-anchored recurrence (see the module
-/// docs), dispatched through [`crate::simd`]: the AVX2 instantiation and
-/// the scalar emulation produce bit-identical values, and every entry is
-/// a pure function of `(λ, clamped mode, k)`, so windows sharing the mode
-/// agree bitwise wherever they overlap.
+/// docs). Every entry is a pure function of `(λ, clamped mode, k)`, so
+/// windows sharing the mode agree bitwise wherever they overlap.
 pub fn poisson_pmf_into(lambda: f64, lo: u64, hi: u64, out: &mut Vec<f64>) {
-    assert!(lambda >= 0.0, "negative Poisson mean");
+    check_mean(lambda);
     assert!(lo <= hi, "empty pmf range");
     let len = (hi - lo + 1) as usize;
     out.clear();
@@ -123,25 +131,7 @@ pub fn poisson_pmf_into(lambda: f64, lo: u64, hi: u64, out: &mut Vec<f64>) {
         return;
     }
     let mode = (lambda.floor() as u64).clamp(lo, hi);
-    let anchor = (mode - lo) as usize;
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::simd_enabled() {
-        // Safety: simd_enabled() implies AVX2 was detected at runtime.
-        unsafe { pmf_fill_avx2(lambda, lo, len, anchor, out) };
-        return;
-    }
-    pmf_fill_scalar(lambda, lo, len, anchor, out);
-}
-
-fn pmf_fill_scalar(lambda: f64, lo: u64, len: usize, anchor: usize, out: &mut [f64]) {
-    // Safety: the scalar emulation has no hardware precondition.
-    unsafe { pmf_fill_body::<ScalarLanes>(lambda, lo, len, anchor, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pmf_fill_avx2(lambda: f64, lo: u64, len: usize, anchor: usize, out: &mut [f64]) {
-    pmf_fill_body::<crate::simd::Avx2Lanes>(lambda, lo, len, anchor, out)
+    pmf_fill_body(lambda, lo, len, (mode - lo) as usize, out);
 }
 
 /// One seed entry by the direct log-space formula. The expression is the
@@ -152,16 +142,14 @@ fn seed1(lambda: f64, ln_lam: f64, k: u64) -> f64 {
     (k as f64 * ln_lam - lambda - ln_factorial(k)).exp()
 }
 
-/// Four consecutive seeds `k0..k0+4`: a vectorised `ln k!` table gather
-/// plus lane-wise mul/sub — per lane exactly [`seed1`]'s expression. The
-/// final `exp` is the scalar libm call in both backends (bit-identity
-/// requires a single implementation, and AVX2 has no exp anyway).
+/// Four consecutive seeds `k0..k0+4`: an `ln k!` table gather plus
+/// lane-wise mul/sub — per lane exactly [`seed1`]'s expression — then the
+/// scalar libm `exp` per lane.
 #[inline(always)]
-unsafe fn seed4<B: Lanes>(lambda: f64, ln_lam: f64, k0: u64) -> F64x4 {
-    let kv = F64x4([k0 as f64, (k0 + 1) as f64, (k0 + 2) as f64, (k0 + 3) as f64]);
+fn seed4(lambda: f64, ln_lam: f64, k0: u64) -> F64x4 {
     let lnf = if k0 + 3 < LN_FACT_TABLE_LEN as u64 {
         let i = k0 as usize;
-        B::gather(ln_fact_table(), [i, i + 1, i + 2, i + 3])
+        F64x4::gather(ln_fact_table(), [i, i + 1, i + 2, i + 3])
     } else {
         F64x4([
             ln_factorial(k0),
@@ -170,30 +158,19 @@ unsafe fn seed4<B: Lanes>(lambda: f64, ln_lam: f64, k0: u64) -> F64x4 {
             ln_factorial(k0 + 3),
         ])
     };
-    let ln_p = B::sub(B::sub(B::mul(kv, B::splat(ln_lam)), B::splat(lambda)), lnf);
-    F64x4([
-        ln_p.0[0].exp(),
-        ln_p.0[1].exp(),
-        ln_p.0[2].exp(),
-        ln_p.0[3].exp(),
-    ])
+    let ln_p = F64x4::ramp(k0) * F64x4::splat(ln_lam) - F64x4::splat(lambda) - lnf;
+    F64x4(ln_p.0.map(f64::exp))
 }
 
-/// The stride-4 fill, written once over the [`Lanes`] backend. Seeds sit
-/// at indices `anchor..anchor+4` and `anchor-4..anchor` (clipped); waves
-/// then step four lanes at a time, `p(k+4) = (p(k)·λ⁴)∕((k+1)(k+2))((k+3)(k+4))`
-/// upward and `p(k−4) = (p(k)·(k)(k−1)(k−2)(k−3))∕λ⁴` downward, with the
-/// factor products associated `(a·b)·(c·d)`. Tails shorter than a wave
-/// use the identical per-entry expression, so lane count never leaks into
-/// the values. All `k` factors are exact integers in f64 (`k ≪ 2⁵³`).
+/// The stride-4 fill. Seeds sit at indices `anchor..anchor+4` and
+/// `anchor-4..anchor` (clipped); waves then step four lanes at a time,
+/// `p(k+4) = (p(k)·λ⁴)∕((k+1)(k+2))((k+3)(k+4))` upward and
+/// `p(k−4) = (p(k)·(k)(k−1)(k−2)(k−3))∕λ⁴` downward, with the factor
+/// products associated `(a·b)·(c·d)`. Tails shorter than a wave use the
+/// identical per-entry expression, so lane count never leaks into the
+/// values. All `k` factors are exact integers in f64 (`k ≪ 2⁵³`).
 #[inline(always)]
-unsafe fn pmf_fill_body<B: Lanes>(
-    lambda: f64,
-    lo: u64,
-    len: usize,
-    anchor: usize,
-    out: &mut [f64],
-) {
+fn pmf_fill_body(lambda: f64, lo: u64, len: usize, anchor: usize, out: &mut [f64]) {
     let ln_lam = lambda.ln();
     let lam2 = lambda * lambda;
     let lam4 = lam2 * lam2;
@@ -201,7 +178,7 @@ unsafe fn pmf_fill_body<B: Lanes>(
 
     // Seeds above the anchor (indices anchor..anchor+4, clipped to len).
     if anchor + 4 <= len {
-        B::store(seed4::<B>(lambda, ln_lam, mode), &mut out[anchor..]);
+        seed4(lambda, ln_lam, mode).store(&mut out[anchor..]);
     } else {
         for (i, o) in out[anchor..len].iter_mut().enumerate() {
             *o = seed1(lambda, ln_lam, lo + (anchor + i) as u64);
@@ -209,7 +186,7 @@ unsafe fn pmf_fill_body<B: Lanes>(
     }
     // Seeds below the anchor (indices anchor-4..anchor, clipped to 0).
     if anchor >= 4 {
-        B::store(seed4::<B>(lambda, ln_lam, mode - 4), &mut out[anchor - 4..]);
+        seed4(lambda, ln_lam, mode - 4).store(&mut out[anchor - 4..]);
     } else {
         for (i, o) in out[..anchor].iter_mut().enumerate() {
             *o = seed1(lambda, ln_lam, lo + i as u64);
@@ -217,37 +194,14 @@ unsafe fn pmf_fill_body<B: Lanes>(
     }
 
     // Upward waves: out[base+4..base+8] from out[base..base+4].
+    let lam4v = F64x4::splat(lam4);
     let mut base = anchor;
     while base + 8 <= len {
         let k0 = lo + base as u64; // value at the lowest input lane
-        let a = F64x4([
-            (k0 + 1) as f64,
-            (k0 + 2) as f64,
-            (k0 + 3) as f64,
-            (k0 + 4) as f64,
-        ]);
-        let b = F64x4([
-            (k0 + 2) as f64,
-            (k0 + 3) as f64,
-            (k0 + 4) as f64,
-            (k0 + 5) as f64,
-        ]);
-        let c = F64x4([
-            (k0 + 3) as f64,
-            (k0 + 4) as f64,
-            (k0 + 5) as f64,
-            (k0 + 6) as f64,
-        ]);
-        let d = F64x4([
-            (k0 + 4) as f64,
-            (k0 + 5) as f64,
-            (k0 + 6) as f64,
-            (k0 + 7) as f64,
-        ]);
-        let consec = B::mul(B::mul(a, b), B::mul(c, d));
-        let p = B::load(&out[base..]);
-        let next = B::div(B::mul(p, B::splat(lam4)), consec);
-        B::store(next, &mut out[base + 4..]);
+        let consec = (F64x4::ramp(k0 + 1) * F64x4::ramp(k0 + 2))
+            * (F64x4::ramp(k0 + 3) * F64x4::ramp(k0 + 4));
+        let next = F64x4::load(&out[base..]) * lam4v / consec;
+        next.store(&mut out[base + 4..]);
         base += 4;
     }
     // Upward tail (< 4 entries): the same per-entry expression.
@@ -262,34 +216,10 @@ unsafe fn pmf_fill_body<B: Lanes>(
     let mut ds = anchor.saturating_sub(4);
     while ds >= 4 {
         let v0 = lo + (ds - 4) as u64; // value at the lowest output lane
-        let a = F64x4([
-            (v0 + 4) as f64,
-            (v0 + 5) as f64,
-            (v0 + 6) as f64,
-            (v0 + 7) as f64,
-        ]);
-        let b = F64x4([
-            (v0 + 3) as f64,
-            (v0 + 4) as f64,
-            (v0 + 5) as f64,
-            (v0 + 6) as f64,
-        ]);
-        let c = F64x4([
-            (v0 + 2) as f64,
-            (v0 + 3) as f64,
-            (v0 + 4) as f64,
-            (v0 + 5) as f64,
-        ]);
-        let d = F64x4([
-            (v0 + 1) as f64,
-            (v0 + 2) as f64,
-            (v0 + 3) as f64,
-            (v0 + 4) as f64,
-        ]);
-        let prod = B::mul(B::mul(a, b), B::mul(c, d));
-        let p = B::load(&out[ds..]);
-        let prev = B::div(B::mul(p, prod), B::splat(lam4));
-        B::store(prev, &mut out[ds - 4..]);
+        let prod = (F64x4::ramp(v0 + 4) * F64x4::ramp(v0 + 3))
+            * (F64x4::ramp(v0 + 2) * F64x4::ramp(v0 + 1));
+        let prev = F64x4::load(&out[ds..]) * prod / lam4v;
+        prev.store(&mut out[ds - 4..]);
         ds -= 4;
     }
     // Downward tail (< 4 entries): the same per-entry expression.
@@ -304,7 +234,7 @@ unsafe fn pmf_fill_body<B: Lanes>(
 /// `E|X − λ| = 2 λ^(⌊λ⌋+1) e^{-λ} / ⌊λ⌋!` (Crow, 1958). Used as a ground
 /// truth in tests and as the irreducible-error floor of an ideal predictor.
 pub fn poisson_mad(lambda: f64) -> f64 {
-    assert!(lambda >= 0.0, "negative Poisson mean");
+    check_mean(lambda);
     if lambda == 0.0 {
         return 0.0;
     }
@@ -496,27 +426,21 @@ mod tests {
     }
 
     #[test]
-    fn pmf_backends_are_bitwise_identical() {
-        // The AVX2 instantiation and the scalar emulation are the same
-        // canonical association, so their outputs match bit for bit.
-        // Without AVX2 both passes run the scalar body and the assert is
-        // trivially true — the real check happens on AVX2 hosts.
-        let prev = crate::simd::simd_enabled();
-        for &lambda in &[0.0, 0.3, 7.7, 40.0, 987.6, 50_000.0] {
-            let (lo, hi) = mass_window(lambda, 3);
-            crate::simd::set_simd_enabled(false);
-            let scalar = pmf_range(lambda, lo, hi);
-            crate::simd::set_simd_enabled(true);
-            let vector = pmf_range(lambda, lo, hi);
-            crate::simd::set_simd_enabled(prev);
-            for (i, (s, v)) in scalar.iter().zip(vector.iter()).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    v.to_bits(),
-                    "lambda={lambda} i={i}: scalar {s} vs vector {v}"
-                );
-            }
-        }
+    #[should_panic(expected = "finite and non-negative, got NaN")]
+    fn nan_mean_is_named_as_non_finite() {
+        poisson_ln_pmf(f64::NAN, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative, got inf")]
+    fn infinite_mean_is_rejected_before_filling_the_window() {
+        poisson_pmf_into(f64::INFINITY, 0, 8, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative, got inf")]
+    fn infinite_mean_has_no_mad() {
+        poisson_mad(f64::INFINITY);
     }
 
     #[test]

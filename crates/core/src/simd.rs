@@ -1,410 +1,99 @@
-//! Dependency-free 4-lane `f64` SIMD layer for the expression kernel.
+//! The 4-lane `f64` vector the expression kernel is written over.
 //!
 //! The hot kernels (the stride-4 pmf recurrence in [`crate::poisson`], the
-//! checkpoint folds in [`crate::expr_kernel`]) are written once as generic
-//! bodies over the [`Lanes`] backend trait and instantiated twice:
+//! checkpoint folds in [`crate::expr_kernel`]) step four independent lanes
+//! at a time. [`F64x4`] is plain Rust: every operation is one IEEE 754
+//! binary64 operation per lane, written out lane by lane, which leaves the
+//! compiler free to vectorise it for whatever target it builds for.
 //!
-//! * [`ScalarLanes`] — plain per-lane `f64` arithmetic, the **canonical
-//!   definition** of every operation. This is what runs on non-x86
-//!   targets, on x86 machines without AVX2, and under `GRIDTUNER_SIMD=0`.
-//! * [`Avx2Lanes`] — the same operations as `core::arch::x86_64` AVX2
-//!   intrinsics (`_mm256_add_pd` …), selected at runtime by
-//!   [`backend`]. The impl methods are `#[inline(always)]` and are only
-//!   ever called from `#[target_feature(enable = "avx2")]` kernel
-//!   wrappers, so the intrinsics compile inside a context that owns the
-//!   feature (the same pattern `memchr` uses).
-//!
-//! **The determinism argument.** Bit-identity across backends does not
-//! come from forbidding SIMD — it comes from defining the 4-lane
-//! *association* as canonical and implementing it twice with operations
-//! that IEEE 754 fully specifies. `vaddpd`/`vmulpd`/`vdivpd`/`vsubpd`
-//! perform the identical correctly-rounded binary64 operation in each
-//! lane as their scalar counterparts, the gather is a plain load per
-//! lane, and FMA is deliberately **not** enabled (a fused multiply-add
-//! rounds once instead of twice and would change bits). Horizontal
-//! reduction always goes through the canonical [`F64x4::hsum`] tree
-//! `(l0 + l1) + (l2 + l3)` — never a backend-specific shuffle sequence
-//! with a different association. A kernel body that only uses [`Lanes`]
-//! ops plus `hsum` therefore produces the same bits under both
-//! instantiations, which the testkit's `simd-vs-scalar-emulation` pair
-//! checks end to end.
-//!
-//! Backend selection is cached after the first query: `GRIDTUNER_SIMD=0`
-//! forces the scalar emulation, `GRIDTUNER_SIMD=1` (or unset) allows the
-//! runtime `is_x86_feature_detected!("avx2")` probe to pick AVX2. Test
-//! harnesses flip the cached choice in-process via [`set_simd_enabled`]
-//! (the same shape as `gridtuner_par::set_max_threads`).
+//! **The determinism argument.** The bits come from the *association*, not
+//! from the instruction set. Each lane op is a correctly rounded binary64
+//! add, sub, mul or div, so any vectorisation of it yields the same bits;
+//! FMA contraction is never applied to Rust `f64` arithmetic, so `mom` is
+//! always a mul then an add. The only cross-lane operation is
+//! [`F64x4::hsum`], the fixed tree `(l0 + l1) + (l2 + l3)`. A kernel body
+//! built from these ops therefore has exactly one possible result, which
+//! the testkit's `pmf-lanes-vs-per-entry-reference` pair checks against an
+//! entry-at-a-time transcription of the same association.
 
-use gridtuner_par::EnvParseError;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::ops::{Add, Div, Mul, Sub};
 
-/// A 4-lane vector of `f64`, `repr(transparent)` over `[f64; 4]`.
-///
-/// The type itself is backend-neutral plain data; arithmetic on it goes
-/// through a [`Lanes`] backend inside the kernels. Lane order is memory
-/// order: `load` from a slice puts `slice[0]` in lane 0.
+/// A 4-lane vector of `f64`. Lane order is memory order: [`F64x4::load`]
+/// from a slice puts `slice[0]` in lane 0.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[repr(transparent)]
-pub struct F64x4(pub [f64; 4]);
+pub(crate) struct F64x4(pub(crate) [f64; 4]);
 
 impl F64x4 {
     /// All lanes zero.
-    pub const ZERO: F64x4 = F64x4([0.0; 4]);
+    pub(crate) const ZERO: F64x4 = F64x4([0.0; 4]);
+
+    /// Broadcast `x` into all lanes.
+    #[inline(always)]
+    pub(crate) fn splat(x: f64) -> F64x4 {
+        F64x4([x; 4])
+    }
+
+    /// Load lanes from `src[0..4]`. Panics if `src` is shorter.
+    #[inline(always)]
+    pub(crate) fn load(src: &[f64]) -> F64x4 {
+        F64x4([src[0], src[1], src[2], src[3]])
+    }
+
+    /// Store lanes to `dst[0..4]`. Panics if `dst` is shorter.
+    #[inline(always)]
+    pub(crate) fn store(self, dst: &mut [f64]) {
+        dst[..4].copy_from_slice(&self.0);
+    }
+
+    /// Gather `table[idx[j]]` into lane `j`. Panics if an index is out of
+    /// bounds.
+    #[inline(always)]
+    pub(crate) fn gather(table: &[f64], idx: [usize; 4]) -> F64x4 {
+        F64x4([table[idx[0]], table[idx[1]], table[idx[2]], table[idx[3]]])
+    }
+
+    /// The integers `k0, k0+1, k0+2, k0+3` as `f64` (exact for `k < 2⁵³`).
+    #[inline(always)]
+    pub(crate) fn ramp(k0: u64) -> F64x4 {
+        F64x4([k0 as f64, (k0 + 1) as f64, (k0 + 2) as f64, (k0 + 3) as f64])
+    }
 
     /// The canonical horizontal sum: the balanced tree
     /// `(l0 + l1) + (l2 + l3)`. Every lane-folded value in the kernels
     /// (checkpoint states, block partials, prefix reads) reduces through
-    /// this exact association, on every backend.
+    /// this exact association.
     #[inline(always)]
-    pub fn hsum(self) -> f64 {
+    pub(crate) fn hsum(self) -> f64 {
         (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
     }
 }
 
-/// The 4-lane backend: one method per vector operation the kernels use.
-///
-/// # Safety
-///
-/// Methods are `unsafe fn` because the AVX2 implementation may only
-/// execute on a CPU with AVX2 — callers uphold that by dispatching on
-/// [`backend`] and instantiating the AVX2 kernel inside a
-/// `#[target_feature(enable = "avx2")]` wrapper. [`ScalarLanes`] has no
-/// real precondition. The contract is uniform across all methods, so it
-/// is documented once here rather than per method.
-#[allow(clippy::missing_safety_doc)]
-pub trait Lanes {
-    /// Broadcast `x` into all lanes.
-    unsafe fn splat(x: f64) -> F64x4;
-    /// Load lanes from `src[0..4]`. Panics if `src` is shorter.
-    unsafe fn load(src: &[f64]) -> F64x4;
-    /// Store lanes to `dst[0..4]`. Panics if `dst` is shorter.
-    unsafe fn store(v: F64x4, dst: &mut [f64]);
-    /// Lane-wise `a + b`.
-    unsafe fn add(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise `a - b`.
-    unsafe fn sub(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise `a * b`.
-    unsafe fn mul(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise `a / b`.
-    unsafe fn div(a: F64x4, b: F64x4) -> F64x4;
-    /// Gather `table[idx[j]]` into lane `j`. Panics if an index is out
-    /// of bounds.
-    unsafe fn gather(table: &[f64], idx: [usize; 4]) -> F64x4;
-}
+macro_rules! lane_wise {
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl $trait for F64x4 {
+            type Output = F64x4;
 
-/// The bit-exact scalar emulation — the canonical semantics of every
-/// [`Lanes`] operation, one IEEE 754 binary64 operation per lane.
-pub struct ScalarLanes;
-
-impl Lanes for ScalarLanes {
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> F64x4 {
-        F64x4([x; 4])
-    }
-    #[inline(always)]
-    unsafe fn load(src: &[f64]) -> F64x4 {
-        F64x4([src[0], src[1], src[2], src[3]])
-    }
-    #[inline(always)]
-    unsafe fn store(v: F64x4, dst: &mut [f64]) {
-        dst[..4].copy_from_slice(&v.0);
-    }
-    #[inline(always)]
-    unsafe fn add(a: F64x4, b: F64x4) -> F64x4 {
-        F64x4([
-            a.0[0] + b.0[0],
-            a.0[1] + b.0[1],
-            a.0[2] + b.0[2],
-            a.0[3] + b.0[3],
-        ])
-    }
-    #[inline(always)]
-    unsafe fn sub(a: F64x4, b: F64x4) -> F64x4 {
-        F64x4([
-            a.0[0] - b.0[0],
-            a.0[1] - b.0[1],
-            a.0[2] - b.0[2],
-            a.0[3] - b.0[3],
-        ])
-    }
-    #[inline(always)]
-    unsafe fn mul(a: F64x4, b: F64x4) -> F64x4 {
-        F64x4([
-            a.0[0] * b.0[0],
-            a.0[1] * b.0[1],
-            a.0[2] * b.0[2],
-            a.0[3] * b.0[3],
-        ])
-    }
-    #[inline(always)]
-    unsafe fn div(a: F64x4, b: F64x4) -> F64x4 {
-        F64x4([
-            a.0[0] / b.0[0],
-            a.0[1] / b.0[1],
-            a.0[2] / b.0[2],
-            a.0[3] / b.0[3],
-        ])
-    }
-    #[inline(always)]
-    unsafe fn gather(table: &[f64], idx: [usize; 4]) -> F64x4 {
-        F64x4([table[idx[0]], table[idx[1]], table[idx[2]], table[idx[3]]])
-    }
-}
-
-/// The AVX2 instantiation. Safety: only call from inside a
-/// `#[target_feature(enable = "avx2")]` function on a CPU where
-/// [`avx2_available`] returned true — the methods are `#[inline(always)]`
-/// precisely so they dissolve into that feature-owning context.
-#[cfg(target_arch = "x86_64")]
-pub struct Avx2Lanes;
-
-#[cfg(target_arch = "x86_64")]
-impl Lanes for Avx2Lanes {
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> F64x4 {
-        use core::arch::x86_64::*;
-        let mut out = F64x4::ZERO;
-        _mm256_storeu_pd(out.0.as_mut_ptr(), _mm256_set1_pd(x));
-        out
-    }
-    #[inline(always)]
-    unsafe fn load(src: &[f64]) -> F64x4 {
-        use core::arch::x86_64::*;
-        assert!(src.len() >= 4);
-        let mut out = F64x4::ZERO;
-        _mm256_storeu_pd(out.0.as_mut_ptr(), _mm256_loadu_pd(src.as_ptr()));
-        out
-    }
-    #[inline(always)]
-    unsafe fn store(v: F64x4, dst: &mut [f64]) {
-        use core::arch::x86_64::*;
-        assert!(dst.len() >= 4);
-        _mm256_storeu_pd(dst.as_mut_ptr(), _mm256_loadu_pd(v.0.as_ptr()));
-    }
-    #[inline(always)]
-    unsafe fn add(a: F64x4, b: F64x4) -> F64x4 {
-        use core::arch::x86_64::*;
-        let r = _mm256_add_pd(_mm256_loadu_pd(a.0.as_ptr()), _mm256_loadu_pd(b.0.as_ptr()));
-        let mut out = F64x4::ZERO;
-        _mm256_storeu_pd(out.0.as_mut_ptr(), r);
-        out
-    }
-    #[inline(always)]
-    unsafe fn sub(a: F64x4, b: F64x4) -> F64x4 {
-        use core::arch::x86_64::*;
-        let r = _mm256_sub_pd(_mm256_loadu_pd(a.0.as_ptr()), _mm256_loadu_pd(b.0.as_ptr()));
-        let mut out = F64x4::ZERO;
-        _mm256_storeu_pd(out.0.as_mut_ptr(), r);
-        out
-    }
-    #[inline(always)]
-    unsafe fn mul(a: F64x4, b: F64x4) -> F64x4 {
-        use core::arch::x86_64::*;
-        let r = _mm256_mul_pd(_mm256_loadu_pd(a.0.as_ptr()), _mm256_loadu_pd(b.0.as_ptr()));
-        let mut out = F64x4::ZERO;
-        _mm256_storeu_pd(out.0.as_mut_ptr(), r);
-        out
-    }
-    #[inline(always)]
-    unsafe fn div(a: F64x4, b: F64x4) -> F64x4 {
-        use core::arch::x86_64::*;
-        let r = _mm256_div_pd(_mm256_loadu_pd(a.0.as_ptr()), _mm256_loadu_pd(b.0.as_ptr()));
-        let mut out = F64x4::ZERO;
-        _mm256_storeu_pd(out.0.as_mut_ptr(), r);
-        out
-    }
-    #[inline(always)]
-    unsafe fn gather(table: &[f64], idx: [usize; 4]) -> F64x4 {
-        use core::arch::x86_64::*;
-        assert!(
-            idx[0] < table.len()
-                && idx[1] < table.len()
-                && idx[2] < table.len()
-                && idx[3] < table.len()
-        );
-        let vindex = _mm256_set_epi64x(idx[3] as i64, idx[2] as i64, idx[1] as i64, idx[0] as i64);
-        let r = _mm256_i64gather_pd::<8>(table.as_ptr(), vindex);
-        let mut out = F64x4::ZERO;
-        _mm256_storeu_pd(out.0.as_mut_ptr(), r);
-        out
-    }
-}
-
-/// Which instantiation the kernels dispatch to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimdBackend {
-    /// `core::arch::x86_64` AVX2 intrinsics.
-    Avx2,
-    /// The canonical scalar emulation of the same 4-lane association.
-    Scalar,
-}
-
-impl SimdBackend {
-    /// Short label for diagnostics (`"avx2"` / `"scalar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdBackend::Avx2 => "avx2",
-            SimdBackend::Scalar => "scalar",
+            #[inline(always)]
+            fn $method(self, rhs: F64x4) -> F64x4 {
+                F64x4([
+                    self.0[0] $op rhs.0[0],
+                    self.0[1] $op rhs.0[1],
+                    self.0[2] $op rhs.0[2],
+                    self.0[3] $op rhs.0[3],
+                ])
+            }
         }
-    }
-}
-
-const BACKEND_UNSET: u8 = 0;
-const BACKEND_AVX2: u8 = 1;
-const BACKEND_SCALAR: u8 = 2;
-
-/// The cached backend choice: resolved once from `GRIDTUNER_SIMD` + CPU
-/// detection, overridable in-process by [`set_simd_enabled`].
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-/// Validated `GRIDTUNER_SIMD` override: `Some(false)` for `0` (force the
-/// scalar emulation), `Some(true)` for `1` (allow AVX2 where detected),
-/// `None` when unset. Any other value is a typed parse error — front
-/// doors surface it as a diagnostic (exit code 5) instead of silently
-/// picking a backend.
-pub fn env_simd_override() -> Result<Option<bool>, EnvParseError> {
-    let Ok(raw) = std::env::var("GRIDTUNER_SIMD") else {
-        return Ok(None);
     };
-    match raw.trim() {
-        "0" => Ok(Some(false)),
-        "1" => Ok(Some(true)),
-        _ => Err(EnvParseError {
-            var: "GRIDTUNER_SIMD",
-            value: raw,
-            expected: "0 or 1",
-        }),
-    }
 }
 
-/// Is AVX2 available on this CPU? (Always false off x86_64.)
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-fn detect() -> SimdBackend {
-    // A malformed GRIDTUNER_SIMD falls back to detection here so library
-    // use never panics; front doors call env_simd_override() first and
-    // turn the error into exit code 5.
-    if let Ok(Some(false)) = env_simd_override() {
-        return SimdBackend::Scalar;
-    }
-    if avx2_available() {
-        SimdBackend::Avx2
-    } else {
-        SimdBackend::Scalar
-    }
-}
-
-/// The backend the kernels dispatch to, resolved and cached on first use.
-pub fn backend() -> SimdBackend {
-    match BACKEND.load(Ordering::Relaxed) {
-        BACKEND_AVX2 => SimdBackend::Avx2,
-        BACKEND_SCALAR => SimdBackend::Scalar,
-        _ => {
-            let b = detect();
-            BACKEND.store(
-                match b {
-                    SimdBackend::Avx2 => BACKEND_AVX2,
-                    SimdBackend::Scalar => BACKEND_SCALAR,
-                },
-                Ordering::Relaxed,
-            );
-            b
-        }
-    }
-}
-
-/// Whether the kernels currently dispatch to the AVX2 instantiation.
-pub fn simd_enabled() -> bool {
-    backend() == SimdBackend::Avx2
-}
-
-/// Override the cached backend in-process (the test-harness hook, like
-/// `gridtuner_par::set_max_threads`). `true` enables AVX2 *where the CPU
-/// supports it* — on a non-AVX2 machine the scalar emulation stays in
-/// place, so enabling is always safe.
-pub fn set_simd_enabled(on: bool) {
-    BACKEND.store(
-        if on && avx2_available() {
-            BACKEND_AVX2
-        } else {
-            BACKEND_SCALAR
-        },
-        Ordering::Relaxed,
-    );
-}
+lane_wise!(Add, add, +);
+lane_wise!(Sub, sub, -);
+lane_wise!(Mul, mul, *);
+lane_wise!(Div, div, /);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // A feature-owning wrapper so the AVX2 impl is exercised the way the
-    // kernels use it. Safety: only called when avx2_available().
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_ops(a: F64x4, b: F64x4, table: &[f64], idx: [usize; 4]) -> [F64x4; 7] {
-        [
-            Avx2Lanes::add(a, b),
-            Avx2Lanes::sub(a, b),
-            Avx2Lanes::mul(a, b),
-            Avx2Lanes::div(a, b),
-            Avx2Lanes::splat(a.0[2]),
-            Avx2Lanes::gather(table, idx),
-            {
-                let mut buf = [0.0; 4];
-                Avx2Lanes::store(Avx2Lanes::load(&b.0), &mut buf);
-                F64x4(buf)
-            },
-        ]
-    }
-
-    #[test]
-    fn avx2_ops_are_bitwise_identical_to_scalar_emulation() {
-        if !avx2_available() {
-            eprintln!("skipping: no AVX2 on this machine");
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            // Awkward values on purpose: results that round, a subnormal,
-            // lanes that differ in magnitude by ~1e300.
-            let a = F64x4([0.1, 1.0e300, 5e-324, -7.25]);
-            let b = F64x4([0.3, 3.0, 1.0000000000000002, 1.0e-300]);
-            let table: Vec<f64> = (0..64).map(|k| (k as f64).ln_1p()).collect();
-            let idx = [0usize, 7, 63, 31];
-            let got = unsafe { avx2_ops(a, b, &table, idx) };
-            let want = unsafe {
-                [
-                    ScalarLanes::add(a, b),
-                    ScalarLanes::sub(a, b),
-                    ScalarLanes::mul(a, b),
-                    ScalarLanes::div(a, b),
-                    ScalarLanes::splat(a.0[2]),
-                    ScalarLanes::gather(&table, idx),
-                    ScalarLanes::load(&b.0),
-                ]
-            };
-            for (op, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                for lane in 0..4 {
-                    assert_eq!(
-                        g.0[lane].to_bits(),
-                        w.0[lane].to_bits(),
-                        "op {op} lane {lane}: {} vs {}",
-                        g.0[lane],
-                        w.0[lane]
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn hsum_uses_the_canonical_tree() {
@@ -415,35 +104,5 @@ mod tests {
             v.hsum().to_bits(),
             ((1.0e16f64 + 1.0) + (-1.0e16 + 1.0)).to_bits()
         );
-    }
-
-    #[test]
-    fn env_override_parses_and_rejects() {
-        // Parse logic only — the cached backend is process-global, so
-        // this test goes through the pure parts.
-        assert_eq!(
-            super::env_simd_override().map(|v| v.is_none()).ok(),
-            Some(std::env::var("GRIDTUNER_SIMD").is_err())
-        );
-        let err = EnvParseError {
-            var: "GRIDTUNER_SIMD",
-            value: "fast".into(),
-            expected: "0 or 1",
-        };
-        assert!(err.to_string().contains("GRIDTUNER_SIMD"));
-    }
-
-    #[test]
-    fn set_simd_enabled_round_trips() {
-        let was = simd_enabled();
-        set_simd_enabled(false);
-        assert_eq!(backend(), SimdBackend::Scalar);
-        assert_eq!(backend().name(), "scalar");
-        set_simd_enabled(true);
-        assert_eq!(simd_enabled(), avx2_available());
-        if avx2_available() {
-            assert_eq!(backend().name(), "avx2");
-        }
-        set_simd_enabled(was);
     }
 }

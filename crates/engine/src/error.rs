@@ -130,21 +130,11 @@ pub fn thread_diagnostics() -> (usize, usize) {
     (gridtuner_par::max_threads(), gridtuner_par::pool_workers())
 }
 
-/// Validated `GRIDTUNER_SIMD` override, as an engine error: front doors
-/// call this once at startup alongside [`thread_override`], so a
-/// malformed value is a diagnostic (exit code 5) instead of a silent
-/// backend choice.
-pub fn simd_override() -> Result<Option<bool>, EngineError> {
-    gridtuner_core::env_simd_override().map_err(EngineError::from)
-}
-
-/// SIMD diagnostics for front doors: the backend name the expression
-/// kernels dispatch to (`"avx2"` on x86-64 with AVX2 detected unless
-/// `GRIDTUNER_SIMD=0`, `"scalar"` everywhere else). Both backends share
-/// the canonical 4-lane association, so this label never implies a
-/// numeric difference — it tells an operator which speed to expect.
+/// Kernel label for front doors and result fingerprints: the expression
+/// kernels have one implementation, the canonical 4-lane association in
+/// plain Rust, reported as `"scalar"`.
 pub fn simd_diagnostics() -> &'static str {
-    gridtuner_core::simd::backend().name()
+    "scalar"
 }
 
 #[cfg(test)]

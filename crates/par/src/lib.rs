@@ -58,12 +58,11 @@ pub const SUM_BLOCK: usize = 64;
 
 /// One block's partial sum under the **canonical 4-lane association**:
 /// item `i` of the block accumulates into lane `i mod 4`, and the lanes
-/// are tree-folded `(l₀+l₁)+(l₂+l₃)`. This is the same association
-/// `gridtuner-core`'s SIMD kernels define as canonical, kept here in
-/// scalar form — block values come from arbitrary closures, so what
-/// determinism pins is the association, not the instruction set (and the
-/// four independent accumulator chains give the compiler the same ILP a
-/// vector register would). `f` is invoked once per item, in item order.
+/// are tree-folded `(l₀+l₁)+(l₂+l₃)` — the association `gridtuner-core`'s
+/// four-lane kernels use. Block values come from arbitrary closures, so
+/// what determinism pins is the association, not the instruction set (and
+/// the four independent accumulator chains give the compiler the same ILP
+/// a vector register would). `f` is invoked once per item, in item order.
 #[inline]
 fn block_fold<T, S>(block: &[T], state: &mut S, f: &impl Fn(&mut S, &T) -> f64) -> f64 {
     let mut lanes = [0.0f64; 4];

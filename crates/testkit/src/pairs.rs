@@ -30,21 +30,23 @@
 //! | `theorem-ii1-empirical` | real ≤ model + expression on arbitrary samples (and the slack bound) |
 //! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit |
 //! | `bootstrap-seed-determinism` | same seed and B → the same confidence set, run to run, sequential or parallel, pipeline on or off |
-//! | `simd-vs-scalar-emulation` | a full tune is bit-identical under the AVX2 backend and its scalar emulation, at 1/2/8 workers, pipeline on or off |
+//! | `pmf-lanes-vs-per-entry-reference` | for every distinct α rate and MGrid total, the four-lane pmf fill and `PmfTable`'s totals = the entry-at-a-time [`reference`](crate::reference) transcription, bit for bit |
 
 use crate::diff::Check;
 use crate::reference::{
-    expression_error_percell, expression_error_seq, region_expression_error_seq,
+    expression_error_percell, expression_error_seq, fold_lanes_reference, pmf_lanes_reference,
+    region_expression_error_seq,
 };
 use crate::scenario::Scenario;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::errors::{evaluate_errors, ErrorSample};
 use gridtuner_core::estimate_alpha;
-use gridtuner_core::expr_kernel::{dedup_groups, PmfMemo};
+use gridtuner_core::expr_kernel::{dedup_groups, PmfMemo, PmfTable};
 use gridtuner_core::expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
     expression_error_windowed, lemma_upper_bound, try_partition_expression_error,
 };
+use gridtuner_core::poisson::{mass_window, poisson_pmf_into};
 use gridtuner_core::resample::resample_events;
 use gridtuner_core::search::{
     brute_force, iterative_method, ternary_search, try_brute_force, try_iterative_method,
@@ -790,62 +792,37 @@ pub fn standard_checks() -> Vec<Check> {
         Ok(())
     }));
 
-    checks.push(Check::new("simd-vs-scalar-emulation", |s| {
-        // The SIMD layer's whole contract in one differential: the AVX2
-        // backend and its scalar emulation replay the same canonical
-        // 4-lane association, so a full tune — selected side, error bits,
-        // per-probe decomposition — must be bit-identical across
-        // backends, at every worker count, pipeline on or off. On hosts
-        // without AVX2 both settings run the scalar path and the check
-        // degenerates to a replay-determinism test.
-        let model = s.model_fn();
-        let prev_threads = gridtuner_par::max_threads();
-        let prev_simd = gridtuner_core::simd_enabled();
-        let (lo, hi) = s.params.side_range();
-        let run = |simd: bool, threads: usize, pipeline: bool| -> Result<_, String> {
-            gridtuner_core::set_simd_enabled(simd);
-            gridtuner_par::set_max_threads(threads);
-            let cfg = EngineConfig::builder()
-                .hgrid_budget_side(s.params.budget_side)
-                .side_range(lo, hi)
-                .strategy(SearchStrategy::BruteForce)
-                .alpha_window(s.window)
-                .clock(s.clock)
-                .pipeline(pipeline)
-                .build()
-                .map_err(|e| e.to_string())?;
-            let mut session = TuningSession::new(cfg, model).map_err(|e| e.to_string())?;
-            session.ingest(&s.events).map_err(|e| e.to_string())?;
-            let r = session.tune_parallel().map_err(|e| e.to_string())?;
-            let probes: Vec<(u32, u64)> = r
-                .outcome
-                .probes
-                .iter()
-                .map(|&(side, e)| (side, e.to_bits()))
-                .collect();
-            Ok((r.outcome.side, r.outcome.error.to_bits(), probes))
-        };
-        let result = (|| {
-            let reference = run(false, 1, false)?;
-            for simd in [false, true] {
-                for threads in [1usize, 2, 8] {
-                    for pipeline in [false, true] {
-                        let got = run(simd, threads, pipeline)?;
-                        if got != reference {
-                            return Err(format!(
-                                "tune diverged at simd={simd}, {threads} threads, \
-                                 pipeline={pipeline}: {got:?} vs scalar 1-thread \
-                                 reference {reference:?}"
-                            ));
-                        }
-                    }
-                }
+    checks.push(Check::new("pmf-lanes-vs-per-entry-reference", |s| {
+        // The kernel's bits are fixed by its lane association alone: the
+        // four-wide pmf fill and the checkpointed (cum, mom) fold must equal
+        // their entry-at-a-time transcription on every rate a tune of this
+        // scenario builds a table for — each cell's α and each MGrid's
+        // total — over the window `PmfTable` uses.
+        let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
+        let mut rates = std::collections::BTreeSet::new();
+        for side in 1..=s.params.max_side {
+            let part = Partition::for_budget(side, s.params.budget_side);
+            let alpha = cache.alpha(part.hgrid_spec());
+            rates.extend(alpha.as_slice().iter().map(|a| a.to_bits()));
+            rates.extend(part.mgrid_spec().cells().map(|mcell| {
+                let total: f64 = part.hgrid_iter(mcell).map(|h| alpha.get(h)).sum();
+                total.to_bits()
+            }));
+        }
+        let mut pmf = Vec::new();
+        for rate in rates.into_iter().map(f64::from_bits) {
+            let (lo, hi) = mass_window(rate, 2);
+            poisson_pmf_into(rate, lo, hi, &mut pmf);
+            let want = pmf_lanes_reference(rate, lo, hi);
+            for (i, (&got, &want)) in pmf.iter().zip(&want).enumerate() {
+                bit_eq(&format!("pmf({rate})[k = {}]", lo + i as u64), got, want)?;
             }
-            Ok(())
-        })();
-        gridtuner_core::set_simd_enabled(prev_simd);
-        gridtuner_par::set_max_threads(prev_threads);
-        result
+            let table = PmfTable::build(rate);
+            let (cum, mom) = fold_lanes_reference(lo, &want);
+            bit_eq(&format!("cum_total({rate})"), table.cum_total(), cum)?;
+            bit_eq(&format!("mom_total({rate})"), table.mom_total(), mom)?;
+        }
+        Ok(())
     }));
 
     checks

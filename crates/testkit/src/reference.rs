@@ -15,7 +15,11 @@
 //! * [`expression_error_percell`] — the pre-batching sweep: one
 //!   [`expression_error_windowed`] call per distinct rate per MGrid, summed
 //!   in cell order. A different association, so it agrees with the batched
-//!   sweep to reassociation tolerance, not bitwise.
+//!   sweep to reassociation tolerance, not bitwise;
+//! * [`pmf_lanes_reference`] and [`fold_lanes_reference`] — the kernel's
+//!   four-lane pmf fill and `(cum, mom)` fold, transcribed one entry at a
+//!   time. Same association, so equal to `poisson_pmf_into` and
+//!   `PmfTable` **bit for bit**.
 //!
 //! [`try_partition_expression_error`]:
 //!     gridtuner_core::expression::try_partition_expression_error
@@ -23,6 +27,7 @@
 use gridtuner_core::error::CoreError;
 use gridtuner_core::expr_kernel::{ExprWorkspace, PmfMemo};
 use gridtuner_core::expression::expression_error_windowed;
+use gridtuner_core::poisson::poisson_pmf;
 use gridtuner_spatial::{CellId, CountMatrix, Partition, RegionId, SpatialPartition};
 use std::collections::HashMap;
 
@@ -130,6 +135,61 @@ pub fn expression_error_percell(alpha: &CountMatrix, partition: &Partition) -> f
                 .sum::<f64>()
         })
         .sum()
+}
+
+/// `PmfTable`'s fold-checkpoint stride: every this many entries the four
+/// lanes fold down into the scalar base.
+const FOLD_STRIDE: usize = 64;
+
+/// The pmf of `Pois(lambda)` over `lo..=hi`, one entry at a time in the
+/// stride-4 recurrence of `poisson_pmf_into`: the four entries on each side
+/// of the clamped mode by the direct log formula, then
+/// `p(k) = p(k−4)·λ⁴ ∕ ((k−3)(k−2))((k−1)k)` upward and
+/// `p(k) = p(k+4)·((k+4)(k+3))((k+2)(k+1)) ∕ λ⁴` downward.
+pub fn pmf_lanes_reference(lambda: f64, lo: u64, hi: u64) -> Vec<f64> {
+    let len = (hi - lo + 1) as usize;
+    let mut out = vec![0.0; len];
+    if lambda == 0.0 {
+        if lo == 0 {
+            out[0] = 1.0;
+        }
+        return out;
+    }
+    let anchor = ((lambda.floor() as u64).clamp(lo, hi) - lo) as usize;
+    let lam4 = (lambda * lambda) * (lambda * lambda);
+    let seeds = anchor.saturating_sub(4)..(anchor + 4).min(len);
+    for i in seeds.clone() {
+        out[i] = poisson_pmf(lambda, lo + i as u64);
+    }
+    for i in seeds.end..len {
+        let k = |d: u64| (lo + i as u64 - d) as f64;
+        out[i] = out[i - 4] * lam4 / ((k(3) * k(2)) * (k(1) * k(0)));
+    }
+    for i in (0..seeds.start).rev() {
+        let k = |d: u64| (lo + i as u64 + d) as f64;
+        out[i] = out[i + 4] * ((k(4) * k(3)) * (k(2) * k(1))) / lam4;
+    }
+    out
+}
+
+/// The windowed totals `(Σ P(k), Σ k·P(k))` of a pmf over `lo..`, one entry
+/// at a time in `PmfTable`'s fold: entry `j` accumulates into
+/// `lanes[j % 4]`, and every [`FOLD_STRIDE`] entries the lanes fold down
+/// `(l₀+l₁)+(l₂+l₃)` into a scalar base.
+pub fn fold_lanes_reference(lo: u64, pmf: &[f64]) -> (f64, f64) {
+    let tree = |l: [f64; 4]| (l[0] + l[1]) + (l[2] + l[3]);
+    let (mut base_c, mut base_s) = (0.0, 0.0);
+    let (mut cum, mut mom) = ([0.0f64; 4], [0.0f64; 4]);
+    for (j, &p) in pmf.iter().enumerate() {
+        cum[j % 4] += p;
+        mom[j % 4] += (lo + j as u64) as f64 * p;
+        if (j + 1) % FOLD_STRIDE == 0 {
+            base_c += tree(cum);
+            base_s += tree(mom);
+            (cum, mom) = ([0.0; 4], [0.0; 4]);
+        }
+    }
+    (base_c + tree(cum), base_s + tree(mom))
 }
 
 #[cfg(test)]

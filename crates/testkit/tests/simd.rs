@@ -1,4 +1,4 @@
-//! Property tests for the SIMD pmf layer.
+//! Property tests for the four-lane pmf fill.
 //!
 //! Three promises of the stride-4 mode-anchored recurrence
 //! (`gridtuner_core::poisson::poisson_pmf_into`), fuzzed rather than
@@ -8,16 +8,17 @@
 //!    to 1 within the same tolerance as the serial mode-anchored walk
 //!    (the pre-SIMD shape): 4-wide waves neither leak nor amplify
 //!    rounding;
-//! 2. **backend bit-identity** — the AVX2 backend and its scalar
-//!    emulation fill bit-identical tables entry by entry, so every
-//!    downstream fold sees the same bits whichever backend ran;
+//! 2. **association bit-identity** — the four-wide fill equals its
+//!    entry-at-a-time transcription
+//!    (`gridtuner_testkit::reference::pmf_lanes_reference`) bit for bit,
+//!    so the lane association alone fixes every downstream fold's bits;
 //! 3. **window purity** — every entry is a pure function of
 //!    `(λ, clamped mode, k)`: a partial window that still contains the
 //!    mode reproduces the full window's bits, so memoised and fresh
 //!    tables can never disagree.
 
 use gridtuner_core::poisson::{mass_window, poisson_pmf, poisson_pmf_into};
-use gridtuner_core::{set_simd_enabled, simd_enabled};
+use gridtuner_testkit::reference::pmf_lanes_reference;
 use proptest::prelude::*;
 
 /// The serial reference the SIMD fill replaced: anchor `p(mode)` by the
@@ -41,16 +42,6 @@ fn serial_walk(lambda: f64, lo: u64, hi: u64) -> Vec<f64> {
     for i in (0..anchor).rev() {
         out[i] = out[i + 1] * (lo + i as u64 + 1) as f64 / lambda;
     }
-    out
-}
-
-/// Runs `f` with the backend forced on/off and the previous setting
-/// restored — safe to flip mid-run because bit-identity is the claim.
-fn with_backend<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let prev = simd_enabled();
-    set_simd_enabled(on);
-    let out = f();
-    set_simd_enabled(prev);
     out
 }
 
@@ -82,17 +73,11 @@ proptest! {
     fn pmf_backends_fill_bit_identical_tables(
         lambda in 0.0f64..3000.0, pad in 0u64..16) {
         let (lo, hi) = mass_window(lambda, pad);
-        let vector = with_backend(true, || {
-            let mut out = Vec::new();
-            poisson_pmf_into(lambda, lo, hi, &mut out);
-            out
-        });
-        let scalar = with_backend(false, || {
-            let mut out = Vec::new();
-            poisson_pmf_into(lambda, lo, hi, &mut out);
-            out
-        });
-        for (i, (v, s)) in vector.iter().zip(&scalar).enumerate() {
+        let mut lanes = Vec::new();
+        poisson_pmf_into(lambda, lo, hi, &mut lanes);
+        let per_entry = pmf_lanes_reference(lambda, lo, hi);
+        prop_assert_eq!(lanes.len(), per_entry.len());
+        for (i, (v, s)) in lanes.iter().zip(&per_entry).enumerate() {
             prop_assert_eq!(
                 v.to_bits(), s.to_bits(),
                 "entry {} (k = {}) diverged at λ = {}: {} vs {}",
