@@ -29,6 +29,7 @@
 //! Exit status: 0 when nothing FAILs, 1 otherwise.
 
 use gridtuner_bench::kernel_timing::time_kernels;
+use gridtuner_bench::{counter_deltas, KERNEL_COUNTERS};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
@@ -184,7 +185,10 @@ fn measure(scale: f64, inject_kernel_slowdown: f64) -> Fresh {
     let t = Instant::now();
     let mut session = TuningSession::new(cfg, model).expect("valid bench config");
     session.ingest(&events).expect("finite synthetic events");
-    let result = session.tune_parallel().expect("infallible model leg");
+    let (result, [cell_evals, dedup_hits, pmf_memo_hits, workspace_bytes]) =
+        counter_deltas(KERNEL_COUNTERS, || {
+            session.tune_parallel().expect("infallible model leg")
+        });
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Kernel isolation, identical to tune_bench's (same shared helper, so
@@ -209,10 +213,10 @@ fn measure(scale: f64, inject_kernel_slowdown: f64) -> Fresh {
         probes: result.outcome.evals as u64,
         alpha_rescans: result.alpha_full_scans,
         selected_side: u64::from(result.outcome.side),
-        expr_cell_evals: result.expr_cell_evals,
-        expr_dedup_hits: result.expr_dedup_hits,
-        expr_pmf_memo_hits: result.expr_pmf_memo_hits,
-        expr_workspace_bytes: result.expr_workspace_bytes,
+        expr_cell_evals: cell_evals,
+        expr_dedup_hits: dedup_hits,
+        expr_pmf_memo_hits: pmf_memo_hits,
+        expr_workspace_bytes: workspace_bytes,
         wall_ms,
         kernel_speedup: percell_ms / batched_ms.max(1e-9),
         percell_ms,

@@ -22,6 +22,7 @@
 //!     [-- --scale X] [--replicates B]
 //! ```
 
+use gridtuner_bench::counter_deltas;
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuningSession};
@@ -99,7 +100,9 @@ fn run_regime(scale: f64, replicates: u32, phi: f64, drift: (f64, f64)) -> Val {
     let t0 = Instant::now();
     let mut session = TuningSession::new(cfg, model).expect("valid bench config");
     session.ingest(&events).expect("finite synthetic events");
-    let result = session.tune_parallel().expect("infallible model leg");
+    let (result, [boot_cache_hits]) = counter_deltas(["boot.cache_hits"], || {
+        session.tune_parallel().expect("infallible model leg")
+    });
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let unc = result.uncertainty.expect("bootstrap was configured");
     eprintln!(
@@ -131,7 +134,7 @@ fn run_regime(scale: f64, replicates: u32, phi: f64, drift: (f64, f64)) -> Val {
             Val::from(u64::from(unc.distinct_argmins)),
         ),
         ("verdict", Val::from(unc.verdict.name())),
-        ("boot_cache_hits", Val::from(unc.cache_hits)),
+        ("boot_cache_hits", Val::from(boot_cache_hits)),
         ("wall_ms", Val::from(wall_ms)),
     ])
 }

@@ -43,6 +43,7 @@
 //! critical-path tables to stderr after the sweep.
 
 use gridtuner_bench::kernel_timing::time_kernels;
+use gridtuner_bench::{counter_deltas, KERNEL_COUNTERS};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::estimate_alpha;
 use gridtuner_core::expression::expression_error_windowed;
@@ -232,7 +233,10 @@ fn main() {
     let t1 = Instant::now();
     let mut session = TuningSession::new(cfg, model).expect("valid bench config");
     session.ingest(&events).expect("finite synthetic events");
-    let result = session.tune_parallel().expect("infallible model leg");
+    let (result, [cell_evals, dedup_hits, pmf_memo_hits, workspace_bytes]) =
+        counter_deltas(KERNEL_COUNTERS, || {
+            session.tune_parallel().expect("infallible model leg")
+        });
     let wall_ms = t1.elapsed().as_secs_f64() * 1e3;
     eprintln!(
         "[tune_bench] cached: side {} err {:.3} in {wall_ms:.1} ms ({} log scans)",
@@ -313,10 +317,18 @@ fn main() {
         let ts = Instant::now();
         let mut sweep = TuningSession::new(cfg, model).expect("valid bench config");
         sweep.ingest(&events).expect("finite synthetic events");
-        let r = sweep.tune_parallel().expect("infallible model leg");
+        let (r, [pool_spawns, dispatches, worker_idle_ms, lock_waits]) = counter_deltas(
+            [
+                "par.pool_spawns",
+                "par.dispatches",
+                "par.worker_idle_ms",
+                "pmf_memo.lock_waits",
+            ],
+            || sweep.tune_parallel().expect("infallible model leg"),
+        );
         let ms = ts.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
-            r.par_pool_spawns, 0,
+            pool_spawns, 0,
             "pool spawned workers mid-tune at {threads} threads — not flat"
         );
         let probes: Vec<(u32, u64)> = r
@@ -354,14 +366,14 @@ fn main() {
                 "pool_workers",
                 Val::from(gridtuner_par::pool_workers() as u64),
             ),
-            ("par_dispatches", Val::from(r.par_dispatches)),
-            ("par_worker_idle_ms", Val::from(r.par_worker_idle_ms)),
-            ("pmf_lock_waits", Val::from(r.pmf_lock_waits)),
+            ("par_dispatches", Val::from(dispatches)),
+            ("par_worker_idle_ms", Val::from(worker_idle_ms)),
+            ("pmf_lock_waits", Val::from(lock_waits)),
         ]));
         eprintln!(
             "[tune_bench] threads {threads}: {ms:.1} ms ({speedup_vs_1t:.2}x vs 1t), side {}, \
-             {} dispatches, {} lock waits",
-            r.outcome.side, r.par_dispatches, r.pmf_lock_waits
+             {dispatches} dispatches, {lock_waits} lock waits",
+            r.outcome.side
         );
     }
     let thread_speedup = wall_1t / sweep_last.max(1e-9);
@@ -379,13 +391,10 @@ fn main() {
         ("naive_alpha_rescans", Val::from(naive_rescans)),
         ("speedup", Val::from(speedup)),
         ("threads", Val::from(gridtuner_par::max_threads() as u64)),
-        ("expr_cell_evals", Val::from(result.expr_cell_evals)),
-        ("expr_dedup_hits", Val::from(result.expr_dedup_hits)),
-        ("expr_pmf_memo_hits", Val::from(result.expr_pmf_memo_hits)),
-        (
-            "expr_workspace_bytes",
-            Val::from(result.expr_workspace_bytes),
-        ),
+        ("expr_cell_evals", Val::from(cell_evals)),
+        ("expr_dedup_hits", Val::from(dedup_hits)),
+        ("expr_pmf_memo_hits", Val::from(pmf_memo_hits)),
+        ("expr_workspace_bytes", Val::from(workspace_bytes)),
         (
             "kernel",
             Val::obj(vec![

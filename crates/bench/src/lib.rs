@@ -94,6 +94,29 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
+/// The expression-kernel registry counters `BENCH_tune.json` records for
+/// the cached tune, in its key order (`.` becomes `_` in the keys).
+pub const KERNEL_COUNTERS: [&str; 4] = [
+    "expr.cell_evals",
+    "expr.dedup_hits",
+    "expr.pmf_memo_hits",
+    "expr.workspace_bytes",
+];
+
+/// Runs `f` and returns its result with how far each named `obs` registry
+/// counter moved meanwhile. The registry is process-wide, so a delta is
+/// one run's only while nothing else in the process works concurrently.
+pub fn counter_deltas<T, const N: usize>(names: [&str; N], f: impl FnOnce() -> T) -> (T, [u64; N]) {
+    let before = names.map(|n| gridtuner_obs::metrics::counter(n).get());
+    let out = f();
+    let deltas = std::array::from_fn(|i| {
+        gridtuner_obs::metrics::counter(names[i])
+            .get()
+            .saturating_sub(before[i])
+    });
+    (out, deltas)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

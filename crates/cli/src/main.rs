@@ -258,7 +258,11 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
         let set: Vec<String> = unc.confidence_set.iter().map(u32::to_string).collect();
         println!(
             "bootstrap\tB={} seed={} cache_hits={}",
-            unc.replicates, unc.seed, unc.cache_hits
+            unc.replicates,
+            unc.seed,
+            // The process ran one uncertainty stage: the registry total is
+            // its session-memo hits.
+            obs::counter!("boot.cache_hits").get()
         );
         println!("confidence_set\t{{{}}}", set.join(","));
         println!("stability\t{}", unc.verdict);
@@ -398,12 +402,31 @@ fn cmd_expression(a: &Args) -> Result<(), CliError> {
     let rest: f64 = a.get_or("rest", 30.0)?;
     let m: usize = a.get_or("m", 64usize)?;
     let k: usize = a.get_or("k", 0usize)?;
+    check_expression_args(alpha, rest, m)?;
     let value = if k > 0 {
         expression_error_alg2(alpha, rest, m, k)
     } else {
         expression_error_windowed(alpha, rest, m)
     };
     println!("expression_error\t{value:.9}");
+    Ok(())
+}
+
+/// The kernel's preconditions as usage errors naming the flag: both
+/// Poisson means finite and non-negative, at least one HGrid per MGrid.
+fn check_expression_args(alpha: f64, rest: f64, m: usize) -> Result<(), ArgError> {
+    for (flag, mean) in [("alpha", alpha), ("rest", rest)] {
+        if !mean.is_finite() || mean < 0.0 {
+            return Err(ArgError(format!(
+                "--{flag}: expected a finite, non-negative Poisson mean, got {mean}"
+            )));
+        }
+    }
+    if m == 0 {
+        return Err(ArgError(
+            "--m: expected at least 1 HGrid per MGrid, got 0".into(),
+        ));
+    }
     Ok(())
 }
 
@@ -609,5 +632,27 @@ fn main() {
     obs::trace::clear_sink();
     if let Err(e) = result {
         fail(&e);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn expression_args_outside_the_kernel_domain_name_their_flag() {
+        assert!(check_expression_args(2.0, 30.0, 64).is_ok());
+        assert!(check_expression_args(0.0, 0.0, 1).is_ok());
+        for (alpha, rest, m, flag) in [
+            (-1.0, 30.0, 64, "--alpha"),
+            (f64::NAN, 30.0, 64, "--alpha"),
+            (f64::INFINITY, 30.0, 64, "--alpha"),
+            (2.0, -1.0, 64, "--rest"),
+            (2.0, 30.0, 0, "--m"),
+        ] {
+            let err = check_expression_args(alpha, rest, m).unwrap_err();
+            assert!(err.0.starts_with(flag), "{err}");
+            assert_eq!(CliError::from(err).exit_code(), 2);
+        }
     }
 }

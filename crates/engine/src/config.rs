@@ -9,6 +9,10 @@
 use crate::error::EngineError;
 use crate::uncertainty::BootstrapConfig;
 use gridtuner_core::alpha::AlphaWindow;
+use gridtuner_core::error::CoreError;
+use gridtuner_core::search::{
+    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome,
+};
 use gridtuner_dispatch::SimConfig;
 use gridtuner_spatial::SlotClock;
 
@@ -26,6 +30,24 @@ pub enum SearchStrategy {
         /// Search boundary `b`.
         bound: u32,
     },
+}
+
+impl SearchStrategy {
+    /// Runs this strategy's `try_*` searcher over `probe` on `lo..=hi`.
+    pub(crate) fn run(
+        self,
+        probe: impl FnMut(u32) -> Result<f64, CoreError>,
+        lo: u32,
+        hi: u32,
+    ) -> Result<SearchOutcome, CoreError> {
+        match self {
+            SearchStrategy::BruteForce => try_brute_force(probe, lo, hi),
+            SearchStrategy::Ternary => try_ternary_search(probe, lo, hi),
+            SearchStrategy::Iterative { init, bound } => {
+                try_iterative_method(probe, lo, hi, init, bound)
+            }
+        }
+    }
 }
 
 /// Everything a [`TuningSession`](crate::TuningSession) needs to know.

@@ -20,13 +20,10 @@
 use crate::config::{EngineConfig, SearchStrategy};
 use crate::error::EngineError;
 use crate::stage::{StageKind, StageRecord};
-use crate::uncertainty::{run_bootstrap, ReplicateSetup, UncertaintyReport};
+use crate::uncertainty::{run_bootstrap, UncertaintyReport};
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
-use gridtuner_core::search::{
-    try_brute_force, try_brute_force_parallel, try_iterative_method, try_ternary_search,
-    SearchOutcome,
-};
+use gridtuner_core::search::{try_brute_force_parallel, SearchOutcome};
 use gridtuner_core::upper_bound::{ModelErrorSource, SyncModelErrorSource};
 use gridtuner_obs as obs;
 use gridtuner_spatial::{Event, Partition};
@@ -49,7 +46,9 @@ pub struct IngestReport {
 }
 
 /// Outcome of one tune: the winning partition plus the search trace and
-/// the cache counters that certify how the work was done.
+/// the cache counters that certify how the work was done. Every field is
+/// a deterministic function of the session's inputs and history; the
+/// process-wide kernel and pool counters live in the `obs` registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneReport {
     /// The selected partition (MGrid side = `outcome.side`).
@@ -66,92 +65,9 @@ pub struct TuneReport {
     /// Probes served from the per-side model-error memo during this tune —
     /// the incremental re-tune dividend.
     pub model_memo_hits: usize,
-    /// HGrid cells fed through the batched expression kernel during this
-    /// tune (delta of the global `expr.cell_evals` counter).
-    pub expr_cell_evals: u64,
-    /// Cells whose rate duplicated an earlier cell in the same MGrid and
-    /// skipped the kernel (delta of `expr.dedup_hits`).
-    pub expr_dedup_hits: u64,
-    /// Pmf tables served from the session's cross-probe memo instead of
-    /// being rebuilt (delta of `expr.pmf_memo_hits`).
-    pub expr_pmf_memo_hits: u64,
-    /// Bytes of workspace scratch (re)allocated during this tune — the
-    /// zero-allocation claim made measurable (delta of
-    /// `expr.workspace_bytes`; steady-state sweeps add nothing).
-    pub expr_workspace_bytes: u64,
-    /// Worker threads the persistent pool spawned during this tune (delta
-    /// of `par.pool_spawns`). Zero once the pool is warm — the counter a
-    /// bench asserts stays flat across a 73-probe sweep.
-    pub par_pool_spawns: u64,
-    /// Jobs dispatched to the persistent pool during this tune (delta of
-    /// `par.dispatches`). Nested reductions run inline, so a parallel
-    /// probe sweep counts one dispatch, not one per probe.
-    pub par_dispatches: u64,
-    /// Milliseconds pool participants spent idle at dispatch barriers
-    /// during this tune (delta of `par.worker_idle_ms`; recorded only
-    /// while observability is enabled).
-    pub par_worker_idle_ms: u64,
-    /// Times a sharded pmf-memo lock actually blocked during this tune
-    /// (delta of `pmf_memo.lock_waits`). Warm-path lookups are lock-free
-    /// via the workspace L1, so this should stay near zero.
-    pub pmf_lock_waits: u64,
-    /// Dispatches the pool flagged as load-imbalanced during this tune
-    /// (delta of `par.imbalance_warnings`; recorded only while
-    /// observability is enabled). Non-zero means some participants sat
-    /// idle at the barrier while others ran long — the oversubscription
-    /// signature the worker-timeline profiler pinpoints.
-    pub par_imbalance_warnings: u64,
     /// Bootstrap confidence set and stability verdict — present when the
     /// session config enables [`bootstrap`](EngineConfig::bootstrap).
     pub uncertainty: Option<UncertaintyReport>,
-}
-
-/// Start-of-tune snapshot of the global expression-kernel counters, so the
-/// report can expose per-tune deltas instead of process-lifetime totals.
-#[derive(Debug, Clone, Copy)]
-struct ExprCounters {
-    cell_evals: u64,
-    dedup_hits: u64,
-    pmf_memo_hits: u64,
-    workspace_bytes: u64,
-    pool_spawns: u64,
-    dispatches: u64,
-    worker_idle_ms: u64,
-    lock_waits: u64,
-    imbalance_warnings: u64,
-}
-
-impl ExprCounters {
-    fn snapshot() -> Self {
-        ExprCounters {
-            cell_evals: obs::counter!("expr.cell_evals").get(),
-            dedup_hits: obs::counter!("expr.dedup_hits").get(),
-            pmf_memo_hits: obs::counter!("expr.pmf_memo_hits").get(),
-            workspace_bytes: obs::counter!("expr.workspace_bytes").get(),
-            pool_spawns: obs::counter!("par.pool_spawns").get(),
-            dispatches: obs::counter!("par.dispatches").get(),
-            worker_idle_ms: obs::counter!("par.worker_idle_ms").get(),
-            lock_waits: obs::counter!("pmf_memo.lock_waits").get(),
-            imbalance_warnings: obs::counter!("par.imbalance_warnings").get(),
-        }
-    }
-
-    fn delta_since(self) -> Self {
-        let now = Self::snapshot();
-        ExprCounters {
-            cell_evals: now.cell_evals.saturating_sub(self.cell_evals),
-            dedup_hits: now.dedup_hits.saturating_sub(self.dedup_hits),
-            pmf_memo_hits: now.pmf_memo_hits.saturating_sub(self.pmf_memo_hits),
-            workspace_bytes: now.workspace_bytes.saturating_sub(self.workspace_bytes),
-            pool_spawns: now.pool_spawns.saturating_sub(self.pool_spawns),
-            dispatches: now.dispatches.saturating_sub(self.dispatches),
-            worker_idle_ms: now.worker_idle_ms.saturating_sub(self.worker_idle_ms),
-            lock_waits: now.lock_waits.saturating_sub(self.lock_waits),
-            imbalance_warnings: now
-                .imbalance_warnings
-                .saturating_sub(self.imbalance_warnings),
-        }
-    }
 }
 
 /// Runs `search` with a pipeline thread warming the α-derivation memo one
@@ -189,14 +105,85 @@ fn with_alpha_prefetch<T>(
     })
 }
 
-/// Renders a worker panic payload for [`EngineError::Internal`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
+/// Runs `f`, turning a panic — a pool worker's, re-raised on this thread,
+/// or the caller's own — into a typed [`EngineError::Internal`] naming
+/// `stage`, instead of tearing down the caller.
+fn contain_panics<T>(stage: &str, f: impl FnOnce() -> T) -> Result<T, EngineError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        EngineError::Internal(format!("{stage} worker panicked: {message}"))
+    })
+}
+
+/// The per-side model-error memo, immune to lock poisoning (it only ever
+/// holds finished values).
+#[derive(Default)]
+struct ModelMemo(Mutex<HashMap<u32, f64>>);
+
+impl ModelMemo {
+    fn lock(&self) -> MutexGuard<'_, HashMap<u32, f64>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The model error at `side`, computed by `leg` and stored on a miss;
+    /// the flag says whether the memo served it.
+    fn get_or_compute(
+        &self,
+        side: u32,
+        leg: impl FnOnce(u32) -> Result<f64, CoreError>,
+    ) -> Result<(f64, bool), CoreError> {
+        // Bind the lookup first: a guard living in a `match` scrutinee
+        // would still be held in the miss arm.
+        let cached = self.lock().get(&side).copied();
+        match cached {
+            Some(m) => Ok((m, true)),
+            None => {
+                let m = leg(side)?;
+                self.lock().insert(side, m);
+                Ok((m, false))
+            }
+        }
+    }
+}
+
+/// One probe of Algorithm 3's bound, shared by every search: the side's
+/// [`Partition`] expression error from the α cache plus its memoised model
+/// error.
+struct Probe<'a> {
+    cache: &'a AlphaFieldCache,
+    memo: &'a ModelMemo,
+    budget: u32,
+    /// Probes whose model leg the memo served.
+    memo_hits: AtomicUsize,
+}
+
+impl Probe<'_> {
+    fn eval(
+        &self,
+        side: u32,
+        leg: impl FnOnce(u32) -> Result<f64, CoreError>,
+    ) -> Result<f64, CoreError> {
+        let _span = obs::span!("probe", side = side);
+        obs::counter!("tune.probes").inc();
+        let part = Partition::for_budget(side, self.budget);
+        let expr = self.cache.expression_error(&part)?;
+        let (model_err, hit) = self.memo.get_or_compute(side, leg)?;
+        if hit {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        let total = expr + model_err;
+        obs::event!(
+            "probe",
+            side = side,
+            expression_error = expr,
+            model_error = model_err,
+            total = total,
+        );
+        Ok(total)
     }
 }
 
@@ -208,7 +195,7 @@ pub struct TuningSession<S> {
     events: Vec<Event>,
     cache: Option<AlphaFieldCache>,
     model: S,
-    model_memo: Mutex<HashMap<u32, f64>>,
+    model_memo: ModelMemo,
     stages: Vec<StageRecord>,
 }
 
@@ -221,7 +208,7 @@ impl<S> TuningSession<S> {
             events: Vec::new(),
             cache: None,
             model,
-            model_memo: Mutex::new(HashMap::new()),
+            model_memo: ModelMemo::default(),
             stages: Vec::new(),
         })
     }
@@ -258,7 +245,7 @@ impl<S> TuningSession<S> {
 
     /// Number of sides with a memoised model error.
     pub fn memoised_sides(&self) -> usize {
-        lock_memo(&self.model_memo).len()
+        self.model_memo.lock().len()
     }
 
     /// Hands out a dispatch simulator for the configured case study.
@@ -304,6 +291,129 @@ impl<S> TuningSession<S> {
         ));
         true
     }
+
+    /// The one tune body behind [`tune`](Self::tune) and
+    /// [`tune_parallel`](Self::tune_parallel), which differ only in
+    /// `search`: the α stage, then `search` over the shared [`Probe`] —
+    /// with the α prefetcher when `prefetch` and the config's `pipeline`
+    /// allow, panics contained — then the uncertainty stage (`leg` serves
+    /// its model-error misses) and the report.
+    fn tune_with(
+        &mut self,
+        prefetch: bool,
+        leg: impl FnMut(&mut S, u32) -> Result<f64, CoreError>,
+        search: impl FnOnce(&Probe<'_>, &mut S) -> Result<SearchOutcome, CoreError>,
+    ) -> Result<TuneReport, EngineError> {
+        let (lo, hi) = self.config.side_range;
+        let _span = obs::span!("tune", lo = lo, hi = hi, events = self.events.len());
+        let built = self.ensure_cache();
+        self.stages.push(StageRecord::new(
+            StageKind::Alpha,
+            self.digest_len(),
+            if built {
+                "digest built (full scan)"
+            } else {
+                "digest served from cache"
+            },
+        ));
+        let budget = self.config.hgrid_budget_side;
+        let prefetch = prefetch && self.config.pipeline;
+        let cache = self
+            .cache
+            .as_ref()
+            .ok_or_else(|| EngineError::Internal("α cache missing after the alpha stage".into()))?;
+        let probe = Probe {
+            cache,
+            memo: &self.model_memo,
+            budget,
+            memo_hits: AtomicUsize::new(0),
+        };
+        let model = &mut self.model;
+        let outcome = contain_panics("tune", || {
+            with_alpha_prefetch(cache, budget, lo..=hi, prefetch, || search(&probe, model))
+        })??;
+        let memo_hits = probe.memo_hits.into_inner();
+        let uncertainty = self.run_uncertainty(&outcome, leg)?;
+        self.report(outcome, memo_hits, uncertainty)
+    }
+
+    /// The uncertainty stage: B sequential replicate tunes of bootstrap
+    /// resamples, sharing the session's warm pmf memo and serving the
+    /// model leg from the session memo, with `leg` filling misses (see
+    /// the module docs of [`crate::uncertainty`]). No-op unless the config
+    /// enables it.
+    fn run_uncertainty(
+        &mut self,
+        point: &SearchOutcome,
+        mut leg: impl FnMut(&mut S, u32) -> Result<f64, CoreError>,
+    ) -> Result<Option<UncertaintyReport>, EngineError> {
+        let Some(boot) = self.config.bootstrap else {
+            return Ok(None);
+        };
+        let pmf = self
+            .cache
+            .as_ref()
+            .ok_or_else(|| {
+                EngineError::Internal("α cache missing before the uncertainty stage".into())
+            })?
+            .shared_pmf();
+        let (model, memo) = (&mut self.model, &self.model_memo);
+        let mut model_err =
+            |side: u32| memo.get_or_compute(side, |s| leg(model, s)).map(|(m, _)| m);
+        let (events, config) = (&self.events, &self.config);
+        contain_panics("uncertainty", || {
+            run_bootstrap(events, config, pmf, boot, point, &mut model_err)
+        })?
+        .map(Some)
+    }
+
+    /// The report stage: records the search (and uncertainty) stages and
+    /// assembles the [`TuneReport`].
+    fn report(
+        &mut self,
+        outcome: SearchOutcome,
+        memo_hits: usize,
+        uncertainty: Option<UncertaintyReport>,
+    ) -> Result<TuneReport, EngineError> {
+        obs::gauge!("tune.selected_side").set(f64::from(outcome.side));
+        self.stages.push(StageRecord::new(
+            StageKind::Search,
+            outcome.evals,
+            format!("{} unique evaluations", outcome.evals),
+        ));
+        if let Some(u) = &uncertainty {
+            self.stages.push(StageRecord::new(
+                StageKind::Uncertainty,
+                u.replicates as usize,
+                format!(
+                    "{} replicates, {}-side confidence set, verdict {}",
+                    u.replicates,
+                    u.confidence_set.len(),
+                    u.verdict
+                ),
+            ));
+        }
+        let cache = self.cache.as_ref().ok_or_else(|| {
+            EngineError::Internal("α cache missing after the search stage".into())
+        })?;
+        let report = TuneReport {
+            partition: Partition::for_budget(outcome.side, self.config.hgrid_budget_side),
+            outcome,
+            alpha_full_scans: cache.full_scans(),
+            alpha_delta_scans: cache.delta_scans(),
+            model_memo_hits: memo_hits,
+            uncertainty,
+        };
+        self.stages.push(StageRecord::new(
+            StageKind::Report,
+            1,
+            format!(
+                "side {} selected ({} memo hits)",
+                report.outcome.side, report.model_memo_hits
+            ),
+        ));
+        Ok(report)
+    }
 }
 
 impl<S: ModelErrorSource> TuningSession<S> {
@@ -346,7 +456,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
         // delta dirties its memo. Analytic sources keep theirs.
         let model_dirty = !events.is_empty() && self.model.data_dependent();
         if model_dirty {
-            lock_memo(&self.model_memo).clear();
+            self.model_memo.lock().clear();
         }
         let invalidated = matched > 0 || model_dirty;
         self.stages.push(StageRecord::new(
@@ -369,144 +479,20 @@ impl<S: ModelErrorSource> TuningSession<S> {
     /// from the events on every probe.
     pub fn tune(&mut self) -> Result<TuneReport, EngineError> {
         let (lo, hi) = self.config.side_range;
-        let _span = obs::span!("tune", lo = lo, hi = hi, events = self.events.len());
-        let built = self.ensure_cache();
-        self.stages.push(StageRecord::new(
-            StageKind::Alpha,
-            self.digest_len(),
-            if built {
-                "digest built (full scan)"
-            } else {
-                "digest served from cache"
-            },
-        ));
-        let budget = self.config.hgrid_budget_side;
         let strategy = self.config.strategy;
-        let mut memo_hits = 0usize;
-        let expr_base = ExprCounters::snapshot();
-        let outcome = {
-            let cache = self.cache.as_ref().ok_or_else(|| {
-                EngineError::Internal("α cache missing after the alpha stage".into())
-            })?;
-            let model = &mut self.model;
-            let memo = &self.model_memo;
-            let mut probe = |side: u32| -> Result<f64, CoreError> {
-                let _span = obs::span!("probe", side = side);
-                obs::counter!("tune.probes").inc();
-                let part = Partition::for_budget(side, budget);
-                let expr = cache.expression_error(&part)?;
-                // Bind the lookup first: a guard living in a `match`
-                // scrutinee would still be held in the miss arm.
-                let cached = lock_memo(memo).get(&side).copied();
-                let model_err = match cached {
-                    Some(m) => {
-                        memo_hits += 1;
-                        m
-                    }
-                    None => {
-                        let m = model.model_error(side)?;
-                        lock_memo(memo).insert(side, m);
-                        m
-                    }
-                };
-                let total = expr + model_err;
-                obs::event!(
-                    "probe",
-                    side = side,
-                    expression_error = expr,
-                    model_error = model_err,
-                    total = total,
-                );
-                Ok(total)
-            };
-            // Only brute force has a schedule known up front to prefetch
-            // against; adaptive searches run unpipelined.
-            let prefetch = self.config.pipeline && matches!(strategy, SearchStrategy::BruteForce);
-            let search = move || match strategy {
-                SearchStrategy::BruteForce => try_brute_force(&mut probe, lo, hi),
-                SearchStrategy::Ternary => try_ternary_search(&mut probe, lo, hi),
-                SearchStrategy::Iterative { init, bound } => {
-                    try_iterative_method(&mut probe, lo, hi, init, bound)
-                }
-            };
-            // A panic below (a worker's, re-raised on this thread, or the
-            // probe's own) must surface as a typed Internal error, not
-            // tear down the caller.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                with_alpha_prefetch(cache, budget, lo..=hi, prefetch, search)
-            })) {
-                Ok(result) => result?,
-                Err(payload) => {
-                    return Err(EngineError::Internal(format!(
-                        "tune worker panicked: {}",
-                        panic_message(payload.as_ref())
-                    )))
-                }
-            }
-        };
-        // Freeze the point-tune counter deltas before the bootstrap adds
-        // its own kernel work (the uncertainty report carries that).
-        let expr = expr_base.delta_since();
-        let uncertainty = self.run_uncertainty(&outcome)?;
-        self.report(outcome, memo_hits, expr, uncertainty)
-    }
-
-    /// The uncertainty stage: B sequential replicate tunes of bootstrap
-    /// resamples, sharing the session's warm pmf memo and serving the
-    /// model leg from the session memo (see the module docs of
-    /// [`crate::uncertainty`]). No-op unless the config enables it.
-    fn run_uncertainty(
-        &mut self,
-        point: &gridtuner_core::search::SearchOutcome,
-    ) -> Result<Option<UncertaintyReport>, EngineError> {
-        let Some(bcfg) = self.config.bootstrap else {
-            return Ok(None);
-        };
-        let pmf = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| {
-                EngineError::Internal("α cache missing before the uncertainty stage".into())
-            })?
-            .shared_pmf();
-        let config = self.config; // Copy: releases the borrow of self
-        let setup = ReplicateSetup {
-            clock: &config.clock,
-            window: &config.alpha_window,
-            strategy: config.strategy,
-            lo: config.side_range.0,
-            hi: config.side_range.1,
-            budget: config.hgrid_budget_side,
-        };
-        let model = &mut self.model;
-        let memo = &self.model_memo;
-        let mut model_err = |side: u32| -> Result<f64, CoreError> {
-            if let Some(m) = lock_memo(memo).get(&side).copied() {
-                return Ok(m);
-            }
-            let m = model.model_error(side)?;
-            lock_memo(memo).insert(side, m);
-            Ok(m)
-        };
-        let events = &self.events;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_bootstrap(events, &setup, pmf, bcfg, point, &mut model_err)
-        })) {
-            Ok(result) => result.map(Some),
-            Err(payload) => Err(EngineError::Internal(format!(
-                "uncertainty worker panicked: {}",
-                panic_message(payload.as_ref())
-            ))),
-        }
+        // Only brute force has a schedule known up front to prefetch
+        // against; adaptive searches run unpipelined.
+        let prefetch = matches!(strategy, SearchStrategy::BruteForce);
+        self.tune_with(prefetch, S::model_error, |probe, model| {
+            strategy.run(|side| probe.eval(side, |s| model.model_error(s)), lo, hi)
+        })
     }
 
     /// Memoised model error at one side (outside a search).
     pub fn model_error(&mut self, side: u32) -> Result<f64, EngineError> {
-        if let Some(m) = lock_memo(&self.model_memo).get(&side).copied() {
-            return Ok(m);
-        }
-        let m = self.model.model_error(side)?;
-        lock_memo(&self.model_memo).insert(side, m);
+        let (m, _) = self
+            .model_memo
+            .get_or_compute(side, |s| self.model.model_error(s))?;
         Ok(m)
     }
 
@@ -522,63 +508,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
             Some(cache) => Ok(cache.expression_error(&part)?),
         }
     }
-
-    /// The report stage, shared by the sequential and parallel paths.
-    fn report(
-        &mut self,
-        outcome: SearchOutcome,
-        memo_hits: usize,
-        expr: ExprCounters,
-        uncertainty: Option<UncertaintyReport>,
-    ) -> Result<TuneReport, EngineError> {
-        obs::gauge!("tune.selected_side").set(f64::from(outcome.side));
-        self.stages.push(StageRecord::new(
-            StageKind::Search,
-            outcome.evals,
-            format!("{} unique evaluations", outcome.evals),
-        ));
-        if let Some(u) = &uncertainty {
-            self.stages.push(StageRecord::new(
-                StageKind::Uncertainty,
-                u.replicates as usize,
-                format!(
-                    "{} replicates, {}-side confidence set, verdict {}",
-                    u.replicates,
-                    u.confidence_set.len(),
-                    u.verdict
-                ),
-            ));
-        }
-        let cache = self.cache.as_ref().ok_or_else(|| {
-            EngineError::Internal("α cache missing after the search stage".into())
-        })?;
-        let report = TuneReport {
-            partition: Partition::for_budget(outcome.side, self.config.hgrid_budget_side),
-            outcome,
-            alpha_full_scans: cache.full_scans(),
-            alpha_delta_scans: cache.delta_scans(),
-            model_memo_hits: memo_hits,
-            expr_cell_evals: expr.cell_evals,
-            expr_dedup_hits: expr.dedup_hits,
-            expr_pmf_memo_hits: expr.pmf_memo_hits,
-            expr_workspace_bytes: expr.workspace_bytes,
-            par_pool_spawns: expr.pool_spawns,
-            par_dispatches: expr.dispatches,
-            par_worker_idle_ms: expr.worker_idle_ms,
-            pmf_lock_waits: expr.lock_waits,
-            par_imbalance_warnings: expr.imbalance_warnings,
-            uncertainty,
-        };
-        self.stages.push(StageRecord::new(
-            StageKind::Report,
-            1,
-            format!(
-                "side {} selected ({} memo hits)",
-                report.outcome.side, report.model_memo_hits
-            ),
-        ));
-        Ok(report)
-    }
 }
 
 impl<S: SyncModelErrorSource> TuningSession<S> {
@@ -588,195 +517,23 @@ impl<S: SyncModelErrorSource> TuningSession<S> {
     /// `GRIDTUNER_THREADS`.
     pub fn tune_parallel(&mut self) -> Result<TuneReport, EngineError> {
         let (lo, hi) = self.config.side_range;
-        let _span = obs::span!("tune", lo = lo, hi = hi, events = self.events.len());
-        let built = self.ensure_cache();
-        self.stages.push(StageRecord::new(
-            StageKind::Alpha,
-            self.digest_len(),
-            if built {
-                "digest built (full scan)"
-            } else {
-                "digest served from cache"
-            },
-        ));
-        let budget = self.config.hgrid_budget_side;
-        let memo_hits = AtomicUsize::new(0);
-        let expr_base = ExprCounters::snapshot();
-        let outcome = {
-            let cache = self.cache.as_ref().ok_or_else(|| {
-                EngineError::Internal("α cache missing after the alpha stage".into())
-            })?;
-            let model = &self.model;
-            let memo = &self.model_memo;
-            let probe = |side: u32| -> Result<f64, CoreError> {
-                let _span = obs::span!("probe", side = side);
-                obs::counter!("tune.probes").inc();
-                let part = Partition::for_budget(side, budget);
-                let expr = cache.expression_error(&part)?;
-                // Bind the lookup first: a guard living in a `match`
-                // scrutinee would still be held in the miss arm.
-                let cached = lock_memo(memo).get(&side).copied();
-                let model_err = match cached {
-                    Some(m) => {
-                        memo_hits.fetch_add(1, Ordering::Relaxed);
-                        m
-                    }
-                    None => {
-                        let m = model.model_error_sync(side)?;
-                        lock_memo(memo).insert(side, m);
-                        m
-                    }
-                };
-                let total = expr + model_err;
-                obs::event!(
-                    "probe",
-                    side = side,
-                    expression_error = expr,
-                    model_error = model_err,
-                    total = total,
-                );
-                Ok(total)
-            };
-            // Same pipeline + containment as the sequential path: the
-            // prefetcher keeps the α memo one probe ahead of the sweep,
-            // and a worker panic (re-raised on this thread by the pool
-            // dispatcher) becomes a typed Internal error.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                with_alpha_prefetch(cache, budget, lo..=hi, self.config.pipeline, || {
-                    try_brute_force_parallel(&probe, lo, hi)
-                })
-            })) {
-                Ok(result) => result?,
-                Err(payload) => {
-                    return Err(EngineError::Internal(format!(
-                        "tune worker panicked: {}",
-                        panic_message(payload.as_ref())
-                    )))
-                }
-            }
-        };
-        let hits = memo_hits.load(Ordering::Relaxed);
-        let expr = expr_base.delta_since();
-        let uncertainty = self.run_uncertainty_sync(&outcome)?;
-        self.report_sync(outcome, hits, expr, uncertainty)
+        let leg = |m: &mut S, s| m.model_error_sync(s);
+        self.tune_with(true, leg, |probe, model| {
+            let model = &*model;
+            try_brute_force_parallel(
+                &|side| probe.eval(side, |s| model.model_error_sync(s)),
+                lo,
+                hi,
+            )
+        })
     }
-
-    // `run_uncertainty` is bounded on ModelErrorSource; duplicate for the
-    // Sync-only bound, serving the model leg through `model_error_sync`.
-    fn run_uncertainty_sync(
-        &mut self,
-        point: &SearchOutcome,
-    ) -> Result<Option<UncertaintyReport>, EngineError> {
-        let Some(bcfg) = self.config.bootstrap else {
-            return Ok(None);
-        };
-        let pmf = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| {
-                EngineError::Internal("α cache missing before the uncertainty stage".into())
-            })?
-            .shared_pmf();
-        let config = self.config; // Copy: releases the borrow of self
-        let setup = ReplicateSetup {
-            clock: &config.clock,
-            window: &config.alpha_window,
-            strategy: config.strategy,
-            lo: config.side_range.0,
-            hi: config.side_range.1,
-            budget: config.hgrid_budget_side,
-        };
-        let model = &self.model;
-        let memo = &self.model_memo;
-        let mut model_err = |side: u32| -> Result<f64, CoreError> {
-            if let Some(m) = lock_memo(memo).get(&side).copied() {
-                return Ok(m);
-            }
-            let m = model.model_error_sync(side)?;
-            lock_memo(memo).insert(side, m);
-            Ok(m)
-        };
-        let events = &self.events;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_bootstrap(events, &setup, pmf, bcfg, point, &mut model_err)
-        })) {
-            Ok(result) => result.map(Some),
-            Err(payload) => Err(EngineError::Internal(format!(
-                "uncertainty worker panicked: {}",
-                panic_message(payload.as_ref())
-            ))),
-        }
-    }
-
-    // `report` is bounded on ModelErrorSource; duplicate the tail for the
-    // Sync-only bound rather than forcing both bounds everywhere.
-    fn report_sync(
-        &mut self,
-        outcome: SearchOutcome,
-        memo_hits: usize,
-        expr: ExprCounters,
-        uncertainty: Option<UncertaintyReport>,
-    ) -> Result<TuneReport, EngineError> {
-        obs::gauge!("tune.selected_side").set(f64::from(outcome.side));
-        self.stages.push(StageRecord::new(
-            StageKind::Search,
-            outcome.evals,
-            format!("{} unique evaluations", outcome.evals),
-        ));
-        if let Some(u) = &uncertainty {
-            self.stages.push(StageRecord::new(
-                StageKind::Uncertainty,
-                u.replicates as usize,
-                format!(
-                    "{} replicates, {}-side confidence set, verdict {}",
-                    u.replicates,
-                    u.confidence_set.len(),
-                    u.verdict
-                ),
-            ));
-        }
-        let cache = self.cache.as_ref().ok_or_else(|| {
-            EngineError::Internal("α cache missing after the search stage".into())
-        })?;
-        let report = TuneReport {
-            partition: Partition::for_budget(outcome.side, self.config.hgrid_budget_side),
-            outcome,
-            alpha_full_scans: cache.full_scans(),
-            alpha_delta_scans: cache.delta_scans(),
-            model_memo_hits: memo_hits,
-            expr_cell_evals: expr.cell_evals,
-            expr_dedup_hits: expr.dedup_hits,
-            expr_pmf_memo_hits: expr.pmf_memo_hits,
-            expr_workspace_bytes: expr.workspace_bytes,
-            par_pool_spawns: expr.pool_spawns,
-            par_dispatches: expr.dispatches,
-            par_worker_idle_ms: expr.worker_idle_ms,
-            pmf_lock_waits: expr.lock_waits,
-            par_imbalance_warnings: expr.imbalance_warnings,
-            uncertainty,
-        };
-        self.stages.push(StageRecord::new(
-            StageKind::Report,
-            1,
-            format!(
-                "side {} selected ({} memo hits)",
-                report.outcome.side, report.model_memo_hits
-            ),
-        ));
-        Ok(report)
-    }
-}
-
-/// The model-error memo, immune to lock poisoning (it only ever holds
-/// finished values).
-fn lock_memo(memo: &Mutex<HashMap<u32, f64>>) -> MutexGuard<'_, HashMap<u32, f64>> {
-    memo.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gridtuner_core::alpha::AlphaWindow;
+    use gridtuner_core::search::{try_brute_force, try_iterative_method, try_ternary_search};
     use gridtuner_spatial::Point;
 
     fn skewed_events(n: usize, days: u32) -> Vec<Event> {
@@ -950,14 +707,21 @@ mod tests {
         let mut session = TuningSession::new(cfg(SearchStrategy::BruteForce), model).unwrap();
         session.ingest(&events).unwrap();
         let first = session.tune().unwrap();
-        // Every probe sweeps the full HGrid lattice through the kernel.
-        assert!(first.expr_cell_evals > 0, "{first:?}");
-        // Quantised α rates recur across probes, so the session's pmf memo
-        // serves hits within the very first tune...
-        assert!(first.expr_pmf_memo_hits > 0, "{first:?}");
-        // ...and a warm re-tune still answers bit-identically.
+        let memo = |s: &TuningSession<_>| {
+            let m = s.alpha_cache().expect("tune built the α cache").pmf_memo();
+            (m.misses(), m.hits())
+        };
+        // Every probe sweeps the full HGrid lattice through the kernel,
+        // which builds its pmf tables into the session's own memo.
+        let (built, first_hits) = memo(&session);
+        assert!(built > 0, "{first:?}");
+        // Quantised α rates recur across probes, so the memo serves hits
+        // within the very first tune...
+        assert!(first_hits > 0, "{first:?}");
+        // ...and serves the warm re-tune, which still answers
+        // bit-identically.
         let second = session.tune().unwrap();
-        assert!(second.expr_pmf_memo_hits > 0, "{second:?}");
+        assert!(memo(&session).1 > first_hits, "{second:?}");
         assert_eq!(
             second.outcome.error.to_bits(),
             first.outcome.error.to_bits()
@@ -988,8 +752,18 @@ mod tests {
         );
         assert!(unc.confidence_set.windows(2).all(|w| w[0] < w[1]));
         // Replicates share the session's warm pmf memo, so the stage
-        // must see cache hits.
-        assert!(unc.cache_hits > 0, "{unc:?}");
+        // must add hits to it beyond those of the same tune without a
+        // bootstrap.
+        let memo_hits = |s: &TuningSession<_>| {
+            s.alpha_cache()
+                .expect("tune built the α cache")
+                .pmf_memo()
+                .hits()
+        };
+        let mut plain = TuningSession::new(cfg(SearchStrategy::BruteForce), model).unwrap();
+        plain.ingest(&events).unwrap();
+        plain.tune().unwrap();
+        assert!(memo_hits(&session) > memo_hits(&plain), "{unc:?}");
         // Every probed side carries a full dispersion row under brute
         // force (every replicate probes every side).
         assert!(unc.dispersion.iter().all(|d| d.samples == 8));

@@ -35,19 +35,16 @@
 //! materialised resampled log — the `bootstrap-replicate-vs-direct`
 //! oracle pair holds bitwise.
 
-use crate::config::SearchStrategy;
+use crate::config::EngineConfig;
 use crate::error::EngineError;
-use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
 use gridtuner_core::expr_kernel::PmfMemo;
 use gridtuner_core::resample::resample_events;
-use gridtuner_core::search::{
-    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome,
-};
+use gridtuner_core::search::SearchOutcome;
 use gridtuner_obs as obs;
 use gridtuner_par::EnvParseError;
-use gridtuner_spatial::{Event, Partition, SlotClock};
+use gridtuner_spatial::{Event, Partition};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -143,11 +140,6 @@ pub struct UncertaintyReport {
     pub dispersion: Vec<ProbeDispersion>,
     /// The stability verdict.
     pub verdict: StabilityVerdict,
-    /// Pmf tables the replicate sweeps served from the shared session
-    /// memo instead of rebuilding (delta of `expr.pmf_memo_hits` over the
-    /// stage) — the "bootstrap is cheap because the kernel is warm" claim
-    /// made measurable.
-    pub cache_hits: u64,
     /// Distinct sides among the replicate argmins.
     pub distinct_argmins: u32,
 }
@@ -183,40 +175,24 @@ pub fn classify(
     }
 }
 
-/// Everything [`run_bootstrap`] needs to replay a tune on a resampled
-/// log: the session's window/clock/search geometry, without the session.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReplicateSetup<'a> {
-    pub clock: &'a SlotClock,
-    pub window: &'a AlphaWindow,
-    pub strategy: SearchStrategy,
-    pub lo: u32,
-    pub hi: u32,
-    pub budget: u32,
-}
-
-/// Tunes one materialised log against a (possibly shared) pmf memo — the
-/// single code path both the uncertainty stage and the
-/// `bootstrap-replicate-vs-direct` oracle exercise.
+/// Tunes one materialised log under the session's window, clock and
+/// search geometry against a (possibly shared) pmf memo — the single code
+/// path both the uncertainty stage and the `bootstrap-replicate-vs-direct`
+/// oracle exercise.
 pub(crate) fn tune_log(
     events: &[Event],
-    setup: &ReplicateSetup<'_>,
+    setup: &EngineConfig,
     pmf: Arc<PmfMemo>,
     model_err: &mut dyn FnMut(u32) -> Result<f64, CoreError>,
 ) -> Result<SearchOutcome, CoreError> {
-    let cache = AlphaFieldCache::with_shared_pmf(events, setup.clock, setup.window, pmf);
-    let mut probe = |side: u32| -> Result<f64, CoreError> {
-        let part = Partition::for_budget(side, setup.budget);
+    let cache = AlphaFieldCache::with_shared_pmf(events, &setup.clock, &setup.alpha_window, pmf);
+    let probe = |side: u32| -> Result<f64, CoreError> {
+        let part = Partition::for_budget(side, setup.hgrid_budget_side);
         let expr = cache.expression_error(&part)?;
         Ok(expr + model_err(side)?)
     };
-    match setup.strategy {
-        SearchStrategy::BruteForce => try_brute_force(&mut probe, setup.lo, setup.hi),
-        SearchStrategy::Ternary => try_ternary_search(&mut probe, setup.lo, setup.hi),
-        SearchStrategy::Iterative { init, bound } => {
-            try_iterative_method(&mut probe, setup.lo, setup.hi, init, bound)
-        }
-    }
+    let (lo, hi) = setup.side_range;
+    setup.strategy.run(probe, lo, hi)
 }
 
 /// Runs the bootstrap: B sequential replicate tunes of resampled logs,
@@ -227,7 +203,7 @@ pub(crate) fn tune_log(
 /// across thread counts.
 pub(crate) fn run_bootstrap(
     events: &[Event],
-    setup: &ReplicateSetup<'_>,
+    setup: &EngineConfig,
     pmf: Arc<PmfMemo>,
     config: BootstrapConfig,
     point: &SearchOutcome,
@@ -238,7 +214,7 @@ pub(crate) fn run_bootstrap(
         replicates = config.replicates,
         seed = config.seed
     );
-    let hits_base = obs::counter!("expr.pmf_memo_hits").get();
+    let hits_base = pmf.hits();
     let mut replicate_argmins = Vec::with_capacity(config.replicates as usize);
     let mut replicate_errors = Vec::with_capacity(config.replicates as usize);
     // Per-side accumulators over every replicate probe, ordered by side.
@@ -254,10 +230,7 @@ pub(crate) fn run_bootstrap(
         replicate_argmins.push(outcome.side);
         replicate_errors.push(outcome.error);
     }
-    let cache_hits = obs::counter!("expr.pmf_memo_hits")
-        .get()
-        .saturating_sub(hits_base);
-    obs::counter!("boot.cache_hits").add(cache_hits);
+    obs::counter!("boot.cache_hits").add(pmf.hits() - hits_base);
 
     let mut confidence_set: Vec<u32> = replicate_argmins.clone();
     confidence_set.push(point.side);
@@ -321,7 +294,6 @@ pub(crate) fn run_bootstrap(
         replicate_errors,
         dispersion,
         verdict,
-        cache_hits,
         distinct_argmins,
     })
 }
