@@ -9,7 +9,7 @@
 //!   full event log (`estimate_alpha`) and evaluates `E_e` per cell with
 //!   no memoisation;
 //! * **cached** — the production path: one log pass into the
-//!   [`AlphaFieldCache`], `O(digest)` α derivation per probe, memoised
+//!   [`AlphaFieldCache`](gridtuner_core::alpha_cache::AlphaFieldCache), `O(digest)` α derivation per probe, memoised
 //!   per-MGrid expression errors, worker-pool parallel sweep.
 //!
 //! On top of the two sweeps the benchmark isolates the expression kernel

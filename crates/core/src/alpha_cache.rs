@@ -23,6 +23,8 @@
 //! and rejected: the paper's budget rule `q = ⌈√N / s⌉` produces lattice
 //! sides that do not divide one another, so exact aggregation is
 //! impossible in general.)
+//!
+//! [`estimate_alpha`]: crate::alpha::estimate_alpha
 
 use crate::alpha::AlphaWindow;
 use crate::error::CoreError;
@@ -55,10 +57,10 @@ pub struct AlphaFieldCache {
     /// Cross-probe Poisson-table cache for the batched expression-error
     /// kernel. A pure function of the rate, so it survives [`append`]
     /// (unlike the derived-field memo) and incremental re-tunes inherit a
-    /// warm cache. Held behind an `Arc` so sibling caches — e.g. the
-    /// bootstrap-replicate caches of the uncertainty stage — can share
-    /// one warm memo: sharing is bit-invisible because hit and miss
-    /// paths produce identical tables.
+    /// warm cache. Held behind an `Arc` so sibling caches can share one
+    /// warm memo, directly or through a layer over it (the
+    /// bootstrap-replicate caches of the uncertainty stage): sharing is
+    /// bit-invisible because hit and miss paths produce identical tables.
     ///
     /// [`append`]: AlphaFieldCache::append
     pmf_memo: Arc<PmfMemo>,
@@ -89,7 +91,8 @@ impl AlphaFieldCache {
     }
 
     /// Builds the cache sharing an existing Poisson-table memo instead of
-    /// starting a cold one — the bootstrap-replicate path, where every
+    /// starting a cold one — the bootstrap-replicate path passes a layer
+    /// over the session memo ([`PmfMemo::with_parent`]), since every
     /// replicate's rates heavily overlap the point-estimate tune's.
     /// Bit-invisible relative to [`new`](Self::new): memo entries are a
     /// pure function of the rate.
@@ -172,7 +175,8 @@ impl AlphaFieldCache {
     }
 
     /// The α field on `spec`'s lattice — bit-identical to
-    /// [`estimate_alpha`] over the original log, without touching it.
+    /// [`estimate_alpha`](crate::alpha::estimate_alpha) over the original
+    /// log, without touching it.
     /// Memoised per side; the lock is held only for map access, so
     /// concurrent probes of different sides derive in parallel.
     pub fn alpha(&self, spec: GridSpec) -> Arc<CountMatrix> {
@@ -180,12 +184,18 @@ impl AlphaFieldCache {
             obs::counter!("alpha.cache_hits").inc();
             return Arc::clone(m);
         }
-        obs::counter!("alpha.derives").inc();
-        let m = {
-            let _derive = obs::span!("alpha.derive", side = spec.side());
-            Arc::new(self.derive(spec))
-        };
+        let m = Arc::new(self.derive_alpha(spec));
         Arc::clone(self.lock_derived().entry(spec.side()).or_insert(m))
+    }
+
+    /// The α field on `spec`'s lattice, derived afresh and not memoised —
+    /// for a short-lived cache that should not hold its fields, such as a
+    /// bootstrap replicate's running beside others. Bit-identical to
+    /// [`alpha`](Self::alpha).
+    pub fn derive_alpha(&self, spec: GridSpec) -> CountMatrix {
+        obs::counter!("alpha.derives").inc();
+        let _derive = obs::span!("alpha.derive", side = spec.side());
+        self.derive(spec)
     }
 
     /// Runs `f` against the α field on `spec`'s lattice. The memo lock is
@@ -342,6 +352,14 @@ mod tests {
                 direct.as_slice(),
                 derived.as_slice(),
                 "side {side}: cache must be bit-identical"
+            );
+        }
+        // The unmemoised derivation: same bits, nothing retained.
+        for side in [5u32, 7] {
+            let direct = estimate_alpha(&events, GridSpec::new(side), &c, &w);
+            assert_eq!(
+                cache.derive_alpha(GridSpec::new(side)).as_slice(),
+                direct.as_slice()
             );
         }
         assert_eq!(cache.full_scans(), 1);

@@ -23,7 +23,10 @@
 //!   bits of the rate. Rates recur across MGrids within a probe and across
 //!   probes within a session (MGrid totals repartition the same event
 //!   mass), so [`crate::alpha_cache::AlphaFieldCache`] owns one per
-//!   session and incremental re-tunes inherit a warm cache.
+//!   session and incremental re-tunes inherit a warm cache. A memo can be
+//!   layered over another ([`PmfMemo::with_parent`]): it reads through to
+//!   the parent and retains only what the parent lacks, so a short-lived
+//!   consumer (a bootstrap replicate) leaves the long-lived memo untouched.
 //!
 //! Every layer preserves the windowed kernel's arithmetic bit for bit: a
 //! memo hit, a scratch refill and a fresh
@@ -85,7 +88,7 @@ const CKPT_STRIDE: usize = 64;
 /// plus the windowed totals `Σ P(k)` and `Σ k·P(k)`. The cumulative and
 /// first-moment prefix values the Algorithm 2 brackets read are folded on
 /// the fly during evaluation, resumed from sparse checkpoints of the fold
-/// state stored every [`CKPT_STRIDE`] entries. The fold is the
+/// state stored every `CKPT_STRIDE` (64) entries. The fold is the
 /// **canonical 4-lane association** (see `simd.rs`): within a
 /// stride, entry `j` accumulates into lane `j mod 4`, and stride
 /// boundaries fold the four lanes down `(l₀+l₁)+(l₂+l₃)` into a scalar
@@ -321,13 +324,15 @@ const MEMO_SHARDS: usize = 16;
 /// an entry cap and a retained-f64 budget — and a rejected rate simply
 /// falls back to the caller's scratch table (same bits either way).
 ///
-/// Storage is split across [`MEMO_SHARDS`] `RwLock`ed segments and the
+/// Storage is split across `MEMO_SHARDS` (16) `RwLock`ed segments and the
 /// caps live in shared atomics, so the warm path is a single uncontended
 /// shard read-lock (and most lookups never even get here: the
 /// per-workspace L1 serves repeats lock-free). `pmf_memo.lock_waits`
 /// counts the times any shard lock actually had to block.
 pub struct PmfMemo {
     shards: Vec<RwLock<RateMap<Arc<PmfTable>>>>,
+    /// The memo this one reads through to; only ever read.
+    parent: Option<Arc<PmfMemo>>,
     /// Cached tables across all shards (reserved before building).
     entries: AtomicUsize,
     /// f64 slots retained across every cached table (window length plus
@@ -410,6 +415,7 @@ impl PmfMemo {
             shards: (0..MEMO_SHARDS)
                 .map(|_| RwLock::new(RateMap::default()))
                 .collect(),
+            parent: None,
             entries: AtomicUsize::new(0),
             retained: AtomicUsize::new(0),
             max_entries,
@@ -418,6 +424,30 @@ impl PmfMemo {
             misses: obs::metrics::Counter::new(),
             lock_waits: obs::metrics::Counter::new(),
         }
+    }
+
+    /// Layers this memo over `parent`: a rate the parent holds is served
+    /// from it (a hit on the parent, nothing inserted here), and only the
+    /// rates it lacks are built and retained here, under this memo's own
+    /// limits. The parent is never written, so its entries, retained slots
+    /// and misses stay exactly as they were, and the layer's tables are
+    /// freed with the layer — the bootstrap's replicate-local layer over
+    /// the session memo. Bit-invisible: every path yields the same tables.
+    pub fn with_parent(mut self, parent: Arc<PmfMemo>) -> PmfMemo {
+        self.parent = Some(parent);
+        self
+    }
+
+    /// The table this memo itself holds for `key`, counted as a hit; a
+    /// miss counts nothing (the caller decides whether it builds).
+    fn cached(&self, key: u64) -> Option<Arc<PmfTable>> {
+        let shard_idx = Self::shard_index(key);
+        let table = read_counted(&self.shards[shard_idx], &self.lock_waits, shard_idx)
+            .get(&key)
+            .map(Arc::clone)?;
+        self.hits.inc();
+        obs::counter!("expr.pmf_memo_hits").inc();
+        Some(table)
     }
 
     /// The shard index for `key`, selected from the *mixed* hash's high
@@ -461,18 +491,20 @@ impl PmfMemo {
         self.retained.fetch_sub(slots, Ordering::SeqCst);
     }
 
-    /// The cached table for `rate`, building and admitting it on a miss.
+    /// The cached table for `rate` — the parent's, when layered and the
+    /// parent holds it — building and admitting it here on a miss.
     /// Returns `None` when the table cannot be admitted (budget or entry
     /// cap) — the caller evaluates from scratch instead; both paths yield
     /// bit-identical values.
     pub fn get_or_build(&self, rate: f64) -> Option<Arc<PmfTable>> {
         let key = rate.to_bits();
-        let shard_idx = Self::shard_index(key);
-        let shard = &self.shards[shard_idx];
-        if let Some(t) = read_counted(shard, &self.lock_waits, shard_idx).get(&key) {
-            self.hits.inc();
-            obs::counter!("expr.pmf_memo_hits").inc();
-            return Some(Arc::clone(t));
+        let held = self
+            .parent
+            .as_ref()
+            .and_then(|parent| parent.cached(key))
+            .or_else(|| self.cached(key));
+        if held.is_some() {
+            return held;
         }
         self.misses.inc();
         let (lo, hi) = mass_window(rate, 2);
@@ -488,7 +520,8 @@ impl PmfMemo {
         }
         let built = Arc::new(PmfTable::build(rate));
         debug_assert_eq!(built.slots(), slots, "admission must match fill");
-        let mut guard = write_counted(shard, &self.lock_waits, shard_idx);
+        let shard_idx = Self::shard_index(key);
+        let mut guard = write_counted(&self.shards[shard_idx], &self.lock_waits, shard_idx);
         match guard.entry(key) {
             Entry::Occupied(e) => {
                 // Lost an insert race: another worker admitted this rate
@@ -506,7 +539,8 @@ impl PmfMemo {
         }
     }
 
-    /// Lookups served from the cache.
+    /// Lookups served from this memo's own tables (a layer's lookups
+    /// served by its parent count on the parent).
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
@@ -998,6 +1032,118 @@ mod tests {
         let scratch = ws.mgrid_error(&alphas, &memo).unwrap();
         let memoised = ws2.mgrid_error(&alphas, &open).unwrap();
         assert_eq!(scratch.to_bits(), memoised.to_bits());
+    }
+
+    /// A parent memo warmed with `rates`, its counters read afterwards.
+    fn warm_parent(rates: &[f64]) -> Arc<PmfMemo> {
+        let parent = Arc::new(PmfMemo::default());
+        for &r in rates {
+            parent.get_or_build(r).expect("admitted");
+        }
+        parent
+    }
+
+    #[test]
+    fn layer_serves_parent_hits_bitwise_and_inserts_nothing() {
+        let parent = warm_parent(&[0.5, 6.25, 740.0]);
+        let layer = PmfMemo::default().with_parent(Arc::clone(&parent));
+        for rate in [0.5, 6.25, 740.0] {
+            let served = layer.get_or_build(rate).expect("parent holds it");
+            let own = parent.get_or_build(rate).expect("parent holds it");
+            assert!(
+                Arc::ptr_eq(&served, &own),
+                "rate {rate}: not the parent's table"
+            );
+            let fresh = PmfTable::build(rate);
+            assert_eq!(served.pmf, fresh.pmf);
+            assert_eq!(served.cum_total.to_bits(), fresh.cum_total.to_bits());
+            assert_eq!(served.mom_total.to_bits(), fresh.mom_total.to_bits());
+        }
+        assert_eq!((layer.entries(), layer.retained_f64s()), (0, 0));
+        assert_eq!((layer.hits(), layer.misses()), (0, 0));
+        // A whole MGrid through the layer: the same bits as the plain memo.
+        let alphas = [6.25, 0.0, 0.5, 3.0, 6.25];
+        let layered = ExprWorkspace::new().mgrid_error(&alphas, &layer).unwrap();
+        let plain = ExprWorkspace::new()
+            .mgrid_error(&alphas, &PmfMemo::default())
+            .unwrap();
+        assert_eq!(layered.to_bits(), plain.to_bits());
+    }
+
+    #[test]
+    fn layer_misses_leave_the_parent_unchanged() {
+        let parent = warm_parent(&[1.0, 2.0]);
+        let before = (
+            parent.entries(),
+            parent.retained_f64s(),
+            parent.misses(),
+            parent.hits(),
+        );
+        let layer = PmfMemo::default().with_parent(Arc::clone(&parent));
+        let built = layer.get_or_build(9.5).expect("admitted locally");
+        assert_eq!(built.pmf, PmfTable::build(9.5).pmf);
+        assert_eq!(
+            layer.get_or_build(9.5).map(|t| Arc::ptr_eq(&t, &built)),
+            Some(true)
+        );
+        assert_eq!((layer.entries(), layer.misses(), layer.hits()), (1, 1, 1));
+        assert_eq!(layer.retained_f64s(), built.slots());
+        let after = (
+            parent.entries(),
+            parent.retained_f64s(),
+            parent.misses(),
+            parent.hits(),
+        );
+        assert_eq!(after, before, "a layer miss touched the parent");
+        drop(layer);
+        assert_eq!(Arc::strong_count(&parent), 1, "the layer outlived its drop");
+    }
+
+    #[test]
+    fn layer_honours_its_own_limits() {
+        let parent = warm_parent(&[1.0]);
+        let capped = PmfMemo::with_limits(1, usize::MAX).with_parent(Arc::clone(&parent));
+        assert!(
+            capped.get_or_build(1.0).is_some(),
+            "parent hits need no room"
+        );
+        assert!(capped.get_or_build(2.0).is_some());
+        assert!(
+            capped.get_or_build(3.0).is_none(),
+            "layer entry cap ignored"
+        );
+        assert_eq!(capped.entries(), 1);
+        let budgeted = PmfMemo::with_limits(usize::MAX, 300).with_parent(Arc::clone(&parent));
+        assert!(budgeted.get_or_build(1.5).is_some(), "small window fits");
+        assert!(
+            budgeted.get_or_build(1.0e6).is_none(),
+            "oversized window admitted past the layer budget"
+        );
+        assert!(budgeted.retained_f64s() <= 300);
+        // A refused layer still evaluates to the same bits via scratch.
+        let shut = PmfMemo::with_limits(0, 0).with_parent(parent);
+        let alphas = [3.0, 0.0, 1.0, 3.0];
+        let refused = ExprWorkspace::new().mgrid_error(&alphas, &shut).unwrap();
+        let open = ExprWorkspace::new()
+            .mgrid_error(&alphas, &PmfMemo::default())
+            .unwrap();
+        assert_eq!(refused.to_bits(), open.to_bits());
+        assert_eq!(shut.entries(), 0);
+    }
+
+    #[test]
+    fn parent_hits_count_on_the_parent_only() {
+        // The uncertainty stage's `boot.cache_hits` is the session memo's
+        // hit delta: exactly the layer lookups the parent served.
+        let parent = warm_parent(&[1.0, 2.0]);
+        let base = parent.hits();
+        let layer = PmfMemo::default().with_parent(Arc::clone(&parent));
+        for rate in [1.0, 2.0, 1.0, 7.0, 7.0, 2.0] {
+            layer.get_or_build(rate).expect("admitted");
+        }
+        assert_eq!(parent.hits() - base, 4, "parent-served lookups");
+        assert_eq!(layer.hits(), 1, "the second 7.0 is the layer's own hit");
+        assert_eq!(layer.misses(), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::config::{EngineConfig, SearchStrategy};
 use crate::error::EngineError;
 use crate::stage::{StageKind, StageRecord};
-use crate::uncertainty::{run_bootstrap, UncertaintyReport};
+use crate::uncertainty::{run_bootstrap, Replicates, UncertaintyReport};
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
 use gridtuner_core::search::{try_brute_force_parallel, SearchOutcome};
@@ -130,7 +130,9 @@ impl ModelMemo {
     }
 
     /// The model error at `side`, computed by `leg` and stored on a miss;
-    /// the flag says whether the memo served it.
+    /// the flag says whether the memo served it. Concurrent misses on one
+    /// side may each run `leg`; a deterministic leg gives them one value,
+    /// so it does not matter which insert lands.
     fn get_or_compute(
         &self,
         side: u32,
@@ -147,6 +149,15 @@ impl ModelMemo {
                 Ok((m, false))
             }
         }
+    }
+
+    /// [`get_or_compute`](Self::get_or_compute)'s value alone.
+    fn value(
+        &self,
+        side: u32,
+        leg: impl FnOnce(u32) -> Result<f64, CoreError>,
+    ) -> Result<f64, CoreError> {
+        self.get_or_compute(side, leg).map(|(m, _)| m)
     }
 }
 
@@ -293,16 +304,20 @@ impl<S> TuningSession<S> {
     }
 
     /// The one tune body behind [`tune`](Self::tune) and
-    /// [`tune_parallel`](Self::tune_parallel), which differ only in
-    /// `search`: the α stage, then `search` over the shared [`Probe`] —
-    /// with the α prefetcher when `prefetch` and the config's `pipeline`
-    /// allow, panics contained — then the uncertainty stage (`leg` serves
-    /// its model-error misses) and the report.
+    /// [`tune_parallel`](Self::tune_parallel), which differ only in how
+    /// they map work: the α stage, then `search` over the shared [`Probe`]
+    /// — with the α prefetcher when `prefetch` and the config's `pipeline`
+    /// allow, panics contained — then the uncertainty stage and the
+    /// report.
     fn tune_with(
         &mut self,
         prefetch: bool,
-        leg: impl FnMut(&mut S, u32) -> Result<f64, CoreError>,
         search: impl FnOnce(&Probe<'_>, &mut S) -> Result<SearchOutcome, CoreError>,
+        replicates: impl FnOnce(
+            &Replicates<'_>,
+            &ModelMemo,
+            &mut S,
+        ) -> Vec<Result<SearchOutcome, CoreError>>,
     ) -> Result<TuneReport, EngineError> {
         let (lo, hi) = self.config.side_range;
         let _span = obs::span!("tune", lo = lo, hi = hi, events = self.events.len());
@@ -333,38 +348,23 @@ impl<S> TuningSession<S> {
             with_alpha_prefetch(cache, budget, lo..=hi, prefetch, || search(&probe, model))
         })??;
         let memo_hits = probe.memo_hits.into_inner();
-        let uncertainty = self.run_uncertainty(&outcome, leg)?;
-        self.report(outcome, memo_hits, uncertainty)
-    }
-
-    /// The uncertainty stage: B sequential replicate tunes of bootstrap
-    /// resamples, sharing the session's warm pmf memo and serving the
-    /// model leg from the session memo, with `leg` filling misses (see
-    /// the module docs of [`crate::uncertainty`]). No-op unless the config
-    /// enables it.
-    fn run_uncertainty(
-        &mut self,
-        point: &SearchOutcome,
-        mut leg: impl FnMut(&mut S, u32) -> Result<f64, CoreError>,
-    ) -> Result<Option<UncertaintyReport>, EngineError> {
-        let Some(boot) = self.config.bootstrap else {
-            return Ok(None);
+        // The uncertainty stage, when configured: `replicates` maps the B
+        // replicate tunes, serving their model leg from the model memo
+        // (see the module docs of [`crate::uncertainty`]).
+        let uncertainty = match self.config.bootstrap {
+            None => None,
+            Some(boot) => {
+                let (events, config, memo) = (&self.events, &self.config, &self.model_memo);
+                let model = &mut self.model;
+                let pmf = cache.shared_pmf();
+                Some(contain_panics("uncertainty", || {
+                    run_bootstrap(events, config, pmf, boot, &outcome, |reps| {
+                        replicates(reps, memo, model)
+                    })
+                })??)
+            }
         };
-        let pmf = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| {
-                EngineError::Internal("α cache missing before the uncertainty stage".into())
-            })?
-            .shared_pmf();
-        let (model, memo) = (&mut self.model, &self.model_memo);
-        let mut model_err =
-            |side: u32| memo.get_or_compute(side, |s| leg(model, s)).map(|(m, _)| m);
-        let (events, config) = (&self.events, &self.config);
-        contain_panics("uncertainty", || {
-            run_bootstrap(events, config, pmf, boot, point, &mut model_err)
-        })?
-        .map(Some)
+        self.report(outcome, memo_hits, uncertainty)
     }
 
     /// The report stage: records the search (and uncertainty) stages and
@@ -483,9 +483,17 @@ impl<S: ModelErrorSource> TuningSession<S> {
         // Only brute force has a schedule known up front to prefetch
         // against; adaptive searches run unpipelined.
         let prefetch = matches!(strategy, SearchStrategy::BruteForce);
-        self.tune_with(prefetch, S::model_error, |probe, model| {
-            strategy.run(|side| probe.eval(side, |s| model.model_error(s)), lo, hi)
-        })
+        self.tune_with(
+            prefetch,
+            |probe, model| strategy.run(|side| probe.eval(side, |s| model.model_error(s)), lo, hi),
+            |reps, memo, model| {
+                let mut leg = |side| memo.value(side, |s| model.model_error(s));
+                reps.indices()
+                    .into_iter()
+                    .map(|r| reps.run(r, &mut leg))
+                    .collect()
+            },
+        )
     }
 
     /// Memoised model error at one side (outside a search).
@@ -512,20 +520,31 @@ impl<S: ModelErrorSource> TuningSession<S> {
 
 impl<S: SyncModelErrorSource> TuningSession<S> {
     /// Brute-force over the side range with probes spread across the
-    /// worker pool. Deterministic: identical to [`tune`](Self::tune) under
+    /// worker pool, then bootstrap replicates (when configured) run as
+    /// pool tasks. Deterministic: identical to [`tune`](Self::tune) under
     /// [`SearchStrategy::BruteForce`] with the same model values, for any
     /// `GRIDTUNER_THREADS`.
     pub fn tune_parallel(&mut self) -> Result<TuneReport, EngineError> {
         let (lo, hi) = self.config.side_range;
-        let leg = |m: &mut S, s| m.model_error_sync(s);
-        self.tune_with(true, leg, |probe, model| {
-            let model = &*model;
-            try_brute_force_parallel(
-                &|side| probe.eval(side, |s| model.model_error_sync(s)),
-                lo,
-                hi,
-            )
-        })
+        self.tune_with(
+            true,
+            |probe, model| {
+                let model = &*model;
+                try_brute_force_parallel(
+                    &|side| probe.eval(side, |s| model.model_error_sync(s)),
+                    lo,
+                    hi,
+                )
+            },
+            |reps, memo, model| {
+                let model = &*model;
+                gridtuner_par::par_map(&reps.indices(), |&r| {
+                    reps.run(r, &mut |side| {
+                        memo.value(side, |s| model.model_error_sync(s))
+                    })
+                })
+            },
+        )
     }
 }
 

@@ -18,14 +18,29 @@
 //!   failure mode the testkit documents for ternary search), and
 //!   [`StabilityVerdict::Unstable`] otherwise.
 //!
-//! Replicates run sequentially in index order — each one derives its own
-//! splitmix64 stream from `(seed, index)`, builds a replicate
-//! [`AlphaFieldCache`] that *shares* the session's warm [`PmfMemo`]
-//! (bit-invisible: memo entries are a pure function of the rate), and runs
-//! the session's own search strategy through the `try_*` searchers. The
-//! expression sweeps inside each replicate still fan out over the worker
-//! pool, so the whole stage is bit-identical across `GRIDTUNER_THREADS`
-//! 1/2/8 — the testkit pins the full confidence set, not just the argmin.
+//! Each replicate derives its own splitmix64 stream from `(seed, index)`,
+//! builds a replicate [`AlphaFieldCache`] over a replicate-local
+//! [`PmfMemo`] layer that reads through to the session's warm memo
+//! ([`PmfMemo::with_parent`]: bit-invisible, since memo entries are a pure
+//! function of the rate), and runs the session's own search strategy
+//! through the `try_*` searchers. The layer builds the replicate's own
+//! misses and is dropped with the replicate, and α fields are derived and
+//! dropped rather than kept in the cache's per-lattice memo (a brute-force
+//! replicate derives each lattice's field once, for every side that maps
+//! to it). So the session memo ends the stage exactly as the point tune
+//! left it, and replicates running side by side do not raise peak
+//! memory. The price is rework: a replicate rebuilds the tables another
+//! replicate built.
+//!
+//! How replicates are mapped is the caller's choice: `tune_parallel`
+//! (whose model leg is `Sync`) runs them as worker-pool tasks — one
+//! coarse dispatch per stage, each replicate's probe sweeps running
+//! inline on the thread that claimed it — while `tune` maps them in index
+//! order on the caller. Either way the outcomes are folded in replicate
+//! index order, so the confidence set, the argmins and error bits, the
+//! dispersion and the first error returned are bit-identical across
+//! `GRIDTUNER_THREADS` 1/2/8 — the testkit pins the full report, not just
+//! the argmin.
 //!
 //! The bootstrap perturbs the **expression leg only**: the model-error leg
 //! is served per side from the session's model source (memoised), because
@@ -35,17 +50,18 @@
 //! materialised resampled log — the `bootstrap-replicate-vs-direct`
 //! oracle pair holds bitwise.
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, SearchStrategy};
 use crate::error::EngineError;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
 use gridtuner_core::expr_kernel::PmfMemo;
+use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_core::resample::resample_events;
 use gridtuner_core::search::SearchOutcome;
 use gridtuner_obs as obs;
 use gridtuner_par::EnvParseError;
-use gridtuner_spatial::{Event, Partition};
-use std::collections::BTreeMap;
+use gridtuner_spatial::{CountMatrix, Event, Partition};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Relative tolerance under which two probed errors count as tied — the
@@ -179,6 +195,14 @@ pub fn classify(
 /// search geometry against a (possibly shared) pmf memo — the single code
 /// path both the uncertainty stage and the `bootstrap-replicate-vs-direct`
 /// oracle exercise.
+///
+/// α fields are derived and dropped, never kept in the cache's
+/// per-lattice memo: fields a replicate kept while others run beside it
+/// would raise peak memory. Brute force probes every side, so its sweeps
+/// run up front grouped by lattice side (sides 4, 8, …, 64 all map to the
+/// 128-lattice at √N = 128), deriving each field once; the search then
+/// reads the results in its own order, so it returns exactly what probing
+/// in order would, first error included.
 pub(crate) fn tune_log(
     events: &[Event],
     setup: &EngineConfig,
@@ -186,28 +210,86 @@ pub(crate) fn tune_log(
     model_err: &mut dyn FnMut(u32) -> Result<f64, CoreError>,
 ) -> Result<SearchOutcome, CoreError> {
     let cache = AlphaFieldCache::with_shared_pmf(events, &setup.clock, &setup.alpha_window, pmf);
+    let (lo, hi) = setup.side_range;
+    let budget = setup.hgrid_budget_side;
+    let expr_of = |alpha: &CountMatrix, part: &Partition| {
+        try_partition_expression_error(alpha, part, Some(cache.pmf_memo()))
+    };
+    let mut swept: HashMap<u32, Result<f64, CoreError>> = HashMap::new();
+    if setup.strategy == SearchStrategy::BruteForce {
+        let mut by_lattice: BTreeMap<u32, Vec<Partition>> = BTreeMap::new();
+        for side in lo..=hi {
+            let part = Partition::for_budget(side, budget);
+            by_lattice
+                .entry(part.hgrid_spec().side())
+                .or_default()
+                .push(part);
+        }
+        for parts in by_lattice.values() {
+            let alpha = cache.derive_alpha(parts[0].hgrid_spec());
+            for part in parts {
+                swept.insert(part.mgrid_side(), expr_of(&alpha, part));
+            }
+        }
+    }
     let probe = |side: u32| -> Result<f64, CoreError> {
-        let part = Partition::for_budget(side, setup.hgrid_budget_side);
-        let expr = cache.expression_error(&part)?;
+        let expr = match swept.remove(&side) {
+            Some(expr) => expr?,
+            None => {
+                let part = Partition::for_budget(side, budget);
+                expr_of(&cache.derive_alpha(part.hgrid_spec()), &part)?
+            }
+        };
         Ok(expr + model_err(side)?)
     };
-    let (lo, hi) = setup.side_range;
     setup.strategy.run(probe, lo, hi)
 }
 
-/// Runs the bootstrap: B sequential replicate tunes of resampled logs,
-/// sharing `pmf` (the session's warm memo), folding the results into an
-/// [`UncertaintyReport`]. Deterministic for a given `(events, config)` —
-/// the replicate order, the resample streams and the searchers are all
-/// fixed, and the parallel expression sweeps inside are bit-identical
-/// across thread counts.
+/// The replicates of one bootstrap stage: everything a replicate tune
+/// reads, shared by reference (and `Sync`), so a caller can map
+/// [`run`](Self::run) over [`indices`](Self::indices) in order or as
+/// worker-pool tasks.
+pub(crate) struct Replicates<'a> {
+    events: &'a [Event],
+    setup: &'a EngineConfig,
+    pmf: &'a Arc<PmfMemo>,
+    config: BootstrapConfig,
+}
+
+impl Replicates<'_> {
+    /// Replicate indices `0..B`, in the order the outcomes are folded.
+    pub(crate) fn indices(&self) -> Vec<u64> {
+        (0..u64::from(self.config.replicates)).collect()
+    }
+
+    /// Replicate `r`: resample the log, then tune it against a
+    /// replicate-local pmf layer over the session memo, freed on return.
+    pub(crate) fn run(
+        &self,
+        r: u64,
+        model_err: &mut dyn FnMut(u32) -> Result<f64, CoreError>,
+    ) -> Result<SearchOutcome, CoreError> {
+        let _rep = obs::span!("uncertainty.replicate", index = r);
+        obs::counter!("boot.replicates").inc();
+        let resampled = resample_events(self.events, self.config.seed, r);
+        let layer = PmfMemo::default().with_parent(Arc::clone(self.pmf));
+        tune_log(&resampled, self.setup, Arc::new(layer), model_err)
+    }
+}
+
+/// Runs the bootstrap: `map` runs every replicate of [`Replicates`] and
+/// returns their outcomes in index order, which are folded into an
+/// [`UncertaintyReport`] (the first failing replicate's error is
+/// returned). Deterministic for a given `(events, config)` — the resample
+/// streams, the searchers and the fold order are all fixed, so neither
+/// the mapping nor the thread count can move a bit.
 pub(crate) fn run_bootstrap(
     events: &[Event],
     setup: &EngineConfig,
     pmf: Arc<PmfMemo>,
     config: BootstrapConfig,
     point: &SearchOutcome,
-    model_err: &mut dyn FnMut(u32) -> Result<f64, CoreError>,
+    map: impl FnOnce(&Replicates<'_>) -> Vec<Result<SearchOutcome, CoreError>>,
 ) -> Result<UncertaintyReport, EngineError> {
     let _span = obs::span!(
         "uncertainty",
@@ -215,22 +297,25 @@ pub(crate) fn run_bootstrap(
         seed = config.seed
     );
     let hits_base = pmf.hits();
-    let mut replicate_argmins = Vec::with_capacity(config.replicates as usize);
-    let mut replicate_errors = Vec::with_capacity(config.replicates as usize);
+    let outcomes = map(&Replicates {
+        events,
+        setup,
+        pmf: &pmf,
+        config,
+    });
+    obs::counter!("boot.cache_hits").add(pmf.hits() - hits_base);
+    let mut replicate_argmins = Vec::with_capacity(outcomes.len());
+    let mut replicate_errors = Vec::with_capacity(outcomes.len());
     // Per-side accumulators over every replicate probe, ordered by side.
     let mut spread: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-    for r in 0..u64::from(config.replicates) {
-        let _rep = obs::span!("uncertainty.replicate", index = r);
-        obs::counter!("boot.replicates").inc();
-        let resampled = resample_events(events, config.seed, r);
-        let outcome = tune_log(&resampled, setup, Arc::clone(&pmf), model_err)?;
+    for outcome in outcomes {
+        let outcome = outcome?;
         for &(side, err) in &outcome.probes {
             spread.entry(side).or_default().push(err);
         }
         replicate_argmins.push(outcome.side);
         replicate_errors.push(outcome.error);
     }
-    obs::counter!("boot.cache_hits").add(pmf.hits() - hits_base);
 
     let mut confidence_set: Vec<u32> = replicate_argmins.clone();
     confidence_set.push(point.side);

@@ -1,7 +1,7 @@
 //! A reusable training loop with validation-based early stopping,
 //! learning-rate decay and gradient clipping.
 //!
-//! [`super::models::NnCore`]'s fixed-epoch loop is fine for harness sweeps
+//! The models' shared `NnCore` fixed-epoch loop is fine for harness sweeps
 //! where wall-clock predictability matters; `fit_until` is the
 //! production-style alternative: hold out a slice of the samples, stop when
 //! validation stops improving, and keep the best weights seen.

@@ -174,7 +174,7 @@ pub fn pmf_lanes_reference(lambda: f64, lo: u64, hi: u64) -> Vec<f64> {
 
 /// The windowed totals `(Σ P(k), Σ k·P(k))` of a pmf over `lo..`, one entry
 /// at a time in `PmfTable`'s fold: entry `j` accumulates into
-/// `lanes[j % 4]`, and every [`FOLD_STRIDE`] entries the lanes fold down
+/// `lanes[j % 4]`, and every `FOLD_STRIDE` (64) entries the lanes fold down
 /// `(l₀+l₁)+(l₂+l₃)` into a scalar base.
 pub fn fold_lanes_reference(lo: u64, pmf: &[f64]) -> (f64, f64) {
     let tree = |l: [f64; 4]| (l[0] + l[1]) + (l[2] + l[3]);
