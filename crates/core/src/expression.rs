@@ -217,6 +217,76 @@ pub fn try_partition_expression_error<P: SpatialPartition + Sync>(
     partition: &P,
     memo: Option<&PmfMemo>,
 ) -> Result<f64, CoreError> {
+    let regions: Vec<RegionId> = (0..partition.n_regions()).map(RegionId).collect();
+    region_sweep(alpha, partition, &regions, memo, |body| {
+        gridtuner_par::par_sum_with(&regions, RegionScratch::default, |s, &r| body.eval(s, r))
+    })
+}
+
+/// The expression error of each region in `regions`, in that order: the
+/// per-region terms [`try_partition_expression_error`] sums, computed by
+/// the same body, so `gridtuner_par::par_sum` over the values of *every*
+/// region in [`RegionId`] order reproduces the partition's total bit for
+/// bit. A caller that already holds some regions' values (a refinement
+/// search whose candidates share most regions) evaluates only the rest.
+/// The α field is checked once per call, as the full sweep checks it; an
+/// id outside the partition is a [`CoreError::Data`].
+///
+/// The regions are evaluated in order on the calling thread. Such a
+/// caller asks for a few regions at a time (a quadtree split adds four
+/// leaves, a merge one), too few to pay for a pool dispatch.
+pub fn try_region_expression_errors<P: SpatialPartition + Sync>(
+    alpha: &CountMatrix,
+    partition: &P,
+    regions: &[RegionId],
+    memo: Option<&PmfMemo>,
+) -> Result<Vec<f64>, CoreError> {
+    if let Some(bad) = regions.iter().find(|r| r.0 >= partition.n_regions()) {
+        return Err(CoreError::Data(format!(
+            "region {} is outside a partition of {} regions",
+            bad.0,
+            partition.n_regions()
+        )));
+    }
+    region_sweep(alpha, partition, regions, memo, |body| {
+        let mut scratch = RegionScratch::default();
+        regions
+            .iter()
+            .map(|&r| body.eval(&mut scratch, r))
+            .collect()
+    })
+}
+
+/// One worker's scratch for the per-region body: the kernel workspace and
+/// the region's cell buffer.
+type RegionScratch = (ExprWorkspace, Vec<CellId>);
+
+/// The per-region body both field-level entry points run.
+struct RegionBody<'a, P> {
+    alpha: &'a CountMatrix,
+    partition: &'a P,
+    memo: &'a PmfMemo,
+}
+
+impl<P: SpatialPartition> RegionBody<'_, P> {
+    /// One region's expression error, from its cells' rates in cell order.
+    fn eval(&self, (ws, buf): &mut RegionScratch, rid: RegionId) -> f64 {
+        self.partition.region_cells_into(rid, buf);
+        ws.mgrid_error_trusted(buf.iter().map(|&h| self.alpha.get(h)), self.memo)
+    }
+}
+
+/// The shared prologue of the field-level entry points: checks the
+/// lattice and the α field once, opens the `expression_error` span over
+/// the regions being evaluated, resolves the pmf memo, and hands `run` the
+/// per-region body.
+fn region_sweep<P: SpatialPartition + Sync, R>(
+    alpha: &CountMatrix,
+    partition: &P,
+    regions: &[RegionId],
+    memo: Option<&PmfMemo>,
+    run: impl FnOnce(&RegionBody<'_, P>) -> R,
+) -> Result<R, CoreError> {
     if alpha.side() != partition.hgrid_spec().side() {
         return Err(CoreError::Data(format!(
             "alpha field must live on the partition's HGrid lattice \
@@ -226,7 +296,7 @@ pub fn try_partition_expression_error<P: SpatialPartition + Sync>(
         )));
     }
     validate_field(alpha)?;
-    let _span = gridtuner_obs::span!("expression_error", regions = partition.n_regions());
+    let _span = gridtuner_obs::span!("expression_error", regions = regions.len());
     let local;
     let memo = match memo {
         Some(m) => m,
@@ -235,15 +305,11 @@ pub fn try_partition_expression_error<P: SpatialPartition + Sync>(
             &local
         }
     };
-    let regions: Vec<RegionId> = (0..partition.n_regions()).map(RegionId).collect();
-    Ok(gridtuner_par::par_sum_with(
-        &regions,
-        || (ExprWorkspace::new(), Vec::new()),
-        |(ws, buf): &mut (ExprWorkspace, Vec<CellId>), &rid| {
-            partition.region_cells_into(rid, buf);
-            ws.mgrid_error_trusted(buf.iter().map(|&h| alpha.get(h)), memo)
-        },
-    ))
+    Ok(run(&RegionBody {
+        alpha,
+        partition,
+        memo,
+    }))
 }
 
 /// Lemma III.1's closed-form bound on the (truncated) expression error:
@@ -533,6 +599,62 @@ mod tests {
             })
             .sum();
         assert!((swept - manual).abs() < 1e-9, "rect {swept} vs {manual}");
+    }
+
+    /// `par_sum` over every region's value, in `RegionId` order, equals the
+    /// full sweep bit for bit, and a subset of ids gets the same values.
+    /// `p` must hold more regions than one `SUM_BLOCK`, in a count that is
+    /// not a multiple of the four lanes, so the blocking and the lane fold
+    /// both matter.
+    fn assert_region_values_refold<P: SpatialPartition + Sync>(alpha: &CountMatrix, p: &P) {
+        let n = p.n_regions();
+        assert!(
+            n > gridtuner_par::SUM_BLOCK && !n.is_multiple_of(4),
+            "{n} regions"
+        );
+        let memo = PmfMemo::default();
+        let all: Vec<RegionId> = (0..p.n_regions()).map(RegionId).collect();
+        let values = try_region_expression_errors(alpha, p, &all, Some(&memo)).unwrap();
+        let swept = try_partition_expression_error(alpha, p, Some(&memo)).unwrap();
+        let refolded = gridtuner_par::par_sum(&values, |&v| v);
+        assert_eq!(refolded.to_bits(), swept.to_bits(), "{}", p.kind());
+        let odd: Vec<RegionId> = all.iter().copied().filter(|r| r.0 % 2 == 1).collect();
+        let subset = try_region_expression_errors(alpha, p, &odd, None).unwrap();
+        for (r, v) in odd.iter().zip(&subset) {
+            assert_eq!(
+                v.to_bits(),
+                values[r.0].to_bits(),
+                "{} region {}",
+                p.kind(),
+                r.0
+            );
+        }
+    }
+
+    #[test]
+    fn region_values_refold_to_the_partition_sweep_bitwise() {
+        use gridtuner_spatial::{QuadTreePartition, RectGrid};
+        let square = Partition::new(9, 2);
+        assert_region_values_refold(&uneven_field(square.hgrid_spec().side()), &square);
+        let rect = RectGrid::for_budget(5, 13, 16);
+        assert_region_values_refold(&uneven_field(rect.hgrid_spec().side()), &rect);
+        let quad = QuadTreePartition::uniform_depth(16, 3)
+            .and_then(|q| q.split(RegionId(9)))
+            .unwrap();
+        assert_region_values_refold(&uneven_field(quad.hgrid_spec().side()), &quad);
+    }
+
+    #[test]
+    fn region_values_reject_ids_outside_the_partition() {
+        let p = Partition::new(2, 2);
+        let alpha = uneven_field(4);
+        match try_region_expression_errors(&alpha, &p, &[RegionId(4)], None).unwrap_err() {
+            CoreError::Data(msg) => assert!(msg.contains("region 4"), "{msg}"),
+            other => panic!("expected Data, got {other:?}"),
+        }
+        assert!(try_region_expression_errors(&alpha, &p, &[], None)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -69,6 +69,7 @@ pub use expr_kernel::{dedup_groups, ExprWorkspace, PmfMemo, PmfTable};
 pub use expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
     expression_error_windowed, mgrid_expression_error, try_partition_expression_error,
+    try_region_expression_errors,
 };
 pub use kselect::{recommended_k, truncation_error_bound};
 pub use resample::{replicate_seed, resample_events, splitmix64, ReplicateRng};

@@ -34,9 +34,10 @@ use crate::error::EngineError;
 use crate::session::{TuneReport, TuningSession};
 use crate::stage::{StageKind, StageRecord};
 use gridtuner_core::dalpha::region_d_alpha;
+use gridtuner_core::expression::try_region_expression_errors;
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
-use gridtuner_spatial::{QuadTreePartition, RectGrid, RegionId, SpatialPartition};
+use gridtuner_spatial::{QuadLeaf, QuadTreePartition, RectGrid, RegionId, SpatialPartition};
 use std::collections::HashMap;
 
 /// Which partition family [`TuningSession::tune_partition`] searches.
@@ -157,6 +158,13 @@ fn isqrt(n: usize) -> u32 {
     s as u32
 }
 
+/// The expression error of every leaf one quadtree search has evaluated,
+/// keyed by the leaf's geometry. A leaf's term depends only on the α field
+/// and its cells, and the lattice is fixed for the search, so a value is
+/// reused by every later candidate holding the same leaf. Scoped to one
+/// search: α cannot change under the `&mut` session borrow it runs in.
+type LeafErrors = HashMap<QuadLeaf, f64>;
+
 /// Split/merge (or hill-climb) steps before the search gives up.
 const MAX_REFINE_ITERS: usize = 64;
 /// Highest-`D_α` regions offered to the split evaluator per iteration.
@@ -219,6 +227,38 @@ impl<S: ModelErrorSource> TuningSession<S> {
     ) -> Result<(f64, f64), EngineError> {
         let expr = self.cache_handle()?.expression_error(partition)?;
         let model = self.region_model_error(partition.n_regions())?;
+        Ok((expr, model))
+    }
+
+    /// Both legs of the bound for one quadtree candidate. Only the leaves
+    /// missing from `leaf_errors` go through the kernel; the total is then
+    /// folded over every leaf's value in `RegionId` order with
+    /// [`gridtuner_par::par_sum`] — the blocking and lane association of
+    /// the full sweep's `par_sum_with`, so the bits equal a full
+    /// [`expression_error`](gridtuner_core::AlphaFieldCache::expression_error).
+    fn quadtree_legs(
+        &mut self,
+        q: &QuadTreePartition,
+        leaf_errors: &mut LeafErrors,
+    ) -> Result<(f64, f64), EngineError> {
+        let fresh: Vec<RegionId> = (0..q.n_regions())
+            .map(RegionId)
+            .filter(|&r| !leaf_errors.contains_key(&q.leaf(r)))
+            .collect();
+        if !fresh.is_empty() {
+            let cache = self.cache_handle()?;
+            let alpha = cache.alpha(q.hgrid_spec());
+            let values = try_region_expression_errors(&alpha, q, &fresh, Some(cache.pmf_memo()))?;
+            leaf_errors.extend(fresh.iter().map(|&r| q.leaf(r)).zip(values));
+        }
+        let values: Vec<f64> = q
+            .leaves()
+            .iter()
+            .map(|leaf| leaf_errors.get(leaf).copied())
+            .collect::<Option<_>>()
+            .ok_or_else(|| EngineError::Internal("quadtree leaf left unevaluated".into()))?;
+        let expr = gridtuner_par::par_sum(&values, |&v| v);
+        let model = self.region_model_error(q.n_regions())?;
         Ok((expr, model))
     }
 
@@ -315,10 +355,13 @@ impl<S: ModelErrorSource> TuningSession<S> {
     /// seed with the best uniform-depth tree whose region count fits the
     /// cap, then repeatedly (a) split the highest-`D_α` splittable leaf
     /// whose split improves the bound, falling back to (b) the best
-    /// bound-improving sibling merge, until neither improves.
+    /// bound-improving sibling merge, until neither improves. Every
+    /// candidate is scored through one [`LeafErrors`] memo, so a split runs
+    /// the kernel on its four new leaves and a merge on its one.
     fn quadtree_search(&mut self, uniform: TuneReport) -> Result<PartitionReport, EngineError> {
         let budget = self.config().hgrid_budget_side;
         let cap = uniform.partition.n().max(1);
+        let mut leaf_errors = LeafErrors::new();
         let mut evals = 0usize;
         let mut best: Option<(QuadTreePartition, (f64, f64))> = None;
         for depth in 0u32.. {
@@ -328,7 +371,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
             let Some(q) = QuadTreePartition::uniform_depth(budget, depth) else {
                 break;
             };
-            let legs = self.partition_legs(&q)?;
+            let legs = self.quadtree_legs(&q, &mut leaf_errors)?;
             evals += 1;
             let better = best
                 .as_ref()
@@ -365,7 +408,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
                     let Some(cand) = best_q.split(RegionId(r)) else {
                         continue;
                     };
-                    let legs = self.partition_legs(&cand)?;
+                    let legs = self.quadtree_legs(&cand, &mut leaf_errors)?;
                     evals += 1;
                     if legs.0 + legs.1 < best_legs.0 + best_legs.1 {
                         best_q = cand;
@@ -384,7 +427,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
                     let Some(cand) = best_q.merge_at(row0, col0, size) else {
                         continue;
                     };
-                    let legs = self.partition_legs(&cand)?;
+                    let legs = self.quadtree_legs(&cand, &mut leaf_errors)?;
                     evals += 1;
                     let improves = legs.0 + legs.1 < best_legs.0 + best_legs.1;
                     let beats_choice = choice

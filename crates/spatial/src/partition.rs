@@ -237,7 +237,7 @@ impl SpatialPartition for RectGrid {
 /// One quadtree leaf: a `size × size` block of lattice cells with top-left
 /// corner `(row0, col0)`. `size` is always a power of two dividing the
 /// lattice side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuadLeaf {
     /// Top-left lattice row of the block.
     pub row0: usize,

@@ -23,6 +23,7 @@
 //! | `par-accumulate-determinism` | `par_accumulate` matches its documented chunked association |
 //! | `total-expr-par-vs-seq` | the parallel sweep = the sequential [`reference`](crate::reference) sweep, bit for bit, on square and quadtree partitions |
 //! | `uniform-sweep-vs-reference` | the `Partition` sweep = the reference square sweep, bit for bit, at 1/2/8 workers |
+//! | `quadtree-memo-vs-sweep` | the quadtree search's leaf-memo expression leg = a fresh full sweep of its layout, bit for bit, and its decision is the same at 1/2/8 workers |
 //! | `batched-vs-seq-expression-error` | the batched kernel (cold or warm pmf memo) = the reference sweep, bit for bit |
 //! | `expr-dedup-weight-conservation` | per-MGrid dedup multiplicities sum back to `m` |
 //! | `nn-dense-vs-naive` | the blocked dense kernel matches the naive mat-vec |
@@ -52,7 +53,10 @@ use gridtuner_core::search::{
     brute_force, iterative_method, ternary_search, try_brute_force, try_iterative_method,
     try_ternary_search, SearchOutcome,
 };
-use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuneReport, TuningSession};
+use gridtuner_engine::{
+    BootstrapConfig, EngineConfig, PartitionKind, PartitionLayout, SearchStrategy, TuneReport,
+    TuningSession,
+};
 use gridtuner_nn::{Conv2d, Dense, Layer, Tensor};
 use gridtuner_spatial::{
     CountMatrix, GridSpec, Partition, QuadTreePartition, RegionId, SpatialPartition,
@@ -522,6 +526,56 @@ pub fn standard_checks() -> Vec<Check> {
                         swept,
                         expression_error_seq(&alpha, &part),
                     )?;
+                }
+            }
+            Ok(())
+        };
+        let result = run();
+        gridtuner_par::set_max_threads(prev);
+        result
+    }));
+
+    checks.push(Check::new("quadtree-memo-vs-sweep", |s| {
+        // The search folds each candidate from per-leaf values it memoised
+        // while scoring earlier candidates; the winner's expression leg
+        // must still be the full sweep's bits, and the decision must not
+        // depend on the worker count.
+        let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
+        let prev = gridtuner_par::max_threads();
+        let run = || -> Result<(), String> {
+            let mut first = None;
+            for threads in [1usize, 2, 8] {
+                gridtuner_par::set_max_threads(threads);
+                let mut session =
+                    TuningSession::new(s.engine_config(SearchStrategy::BruteForce), s.model_fn())
+                        .map_err(|e| e.to_string())?;
+                session.ingest(&s.events).map_err(|e| e.to_string())?;
+                let pr = session
+                    .tune_partition(PartitionKind::QuadTree)
+                    .map_err(|e| e.to_string())?;
+                let PartitionLayout::QuadTree(q) = &pr.layout else {
+                    return Err(format!("quadtree search returned {:?}", pr.layout));
+                };
+                bit_eq(
+                    &format!("{threads} workers: memoised leg vs fresh sweep"),
+                    pr.expression_error,
+                    cache.expression_error(q).map_err(|e| e.to_string())?,
+                )?;
+                let decision = (
+                    pr.layout.clone(),
+                    pr.bound.to_bits(),
+                    pr.evals,
+                    pr.splits,
+                    pr.merges,
+                );
+                match &first {
+                    None => first = Some(decision),
+                    Some(want) if *want != decision => {
+                        return Err(format!(
+                            "{threads} workers decided {decision:?}, 1 worker {want:?}"
+                        ))
+                    }
+                    Some(_) => {}
                 }
             }
             Ok(())

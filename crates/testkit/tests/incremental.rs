@@ -5,11 +5,11 @@
 //!
 //! The worker count is swept in-process via
 //! [`gridtuner_par::set_max_threads`] (the env var is read once and
-//! cached). This file holds exactly one `#[test]` on purpose: the override
-//! is global, and a second concurrently-running test in the same binary
-//! would observe it mid-sweep. See `TESTING.md`.
+//! cached). Only one `#[test]` here sets the override: it is global, so
+//! the other test runs under whatever count the sweep has reached, and
+//! asserts only what holds at every count. See `TESTING.md`.
 
-use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
+use gridtuner_engine::{EngineConfig, PartitionKind, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_testkit::Scenario;
 
 fn config_for(sc: &Scenario) -> EngineConfig {
@@ -109,4 +109,34 @@ fn incremental_retune_is_bit_identical_to_rebuild_across_thread_counts() {
             );
         }
     }
+}
+
+/// The quadtree search's per-leaf memo lives for one search: a re-search
+/// after an ingest must score every leaf against the new α field, exactly
+/// as a fresh session over both batches does.
+#[test]
+fn quadtree_research_after_ingest_matches_a_fresh_session() {
+    let sc = Scenario::generate(77);
+    let (first, second) = sc.events.split_at(sc.events.len() / 2);
+    let mut live = TuningSession::new(config_for(&sc), sc.model_fn()).unwrap();
+    live.ingest(first).unwrap();
+    let before = live.tune_partition(PartitionKind::QuadTree).unwrap();
+    live.ingest(second).unwrap();
+    let mut after = live.tune_partition(PartitionKind::QuadTree).unwrap();
+
+    let mut fresh = TuningSession::new(config_for(&sc), sc.model_fn()).unwrap();
+    fresh.ingest(first).unwrap();
+    fresh.ingest(second).unwrap();
+    let want = fresh.tune_partition(PartitionKind::QuadTree).unwrap();
+
+    // The one field allowed to differ: the live session's analytic model
+    // memo survives the ingest, so its re-tune serves probes from it.
+    assert!(after.uniform.model_memo_hits > want.uniform.model_memo_hits);
+    after.uniform.model_memo_hits = want.uniform.model_memo_hits;
+    assert_eq!(after, want);
+    assert_ne!(
+        before.expression_error.to_bits(),
+        want.expression_error.to_bits(),
+        "the second batch must move the α field, or this test shows nothing"
+    );
 }
