@@ -1,8 +1,10 @@
-//! Poisson machinery: stable pmf ranges and exact sampling.
+//! Poisson machinery: stable pmf ranges and exact sampling, single draws
+//! and a whole count series (the model leg's sampling step).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridtuner_core::poisson::{mass_window, poisson_pmf_into};
-use gridtuner_datagen::sample_poisson;
+use gridtuner_datagen::{sample_poisson, City};
+use gridtuner_spatial::GridSpec;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
 
@@ -39,6 +41,16 @@ fn bench_poisson(c: &mut Criterion) {
             },
         );
     }
+    // One model-leg series: Chengdu at side 16 over 30 days of slots.
+    let chengdu = City::chengdu();
+    g.bench_function("count_series/chengdu_s16_30d", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| {
+            chengdu
+                .sample_count_series(GridSpec::new(16), 30 * 48, &mut rng)
+                .n_slots()
+        })
+    });
     g.finish();
 }
 

@@ -470,6 +470,56 @@ mod tests {
         }
     }
 
+    /// Lemma III.1 is tight: at `b = 0` the bound equals `E_e` exactly, and
+    /// at `m = 1` both are 0. So the computed `E_e` can sit above it by
+    /// rounding alone. `expression_error_windowed(1e-300, 1e-300, 4)` reads
+    /// 1.0000000000000246e-300 against a bound of 1e-300 (111 ε relative);
+    /// `(1e4, 1e-10, 4)` reads 1.75e-11 (≈ 79,000 ε) relative above it;
+    /// `(5e-324, 5e-324, 4)` reads 5e-324 against a bound that rounds to 0.
+    ///
+    /// The slack below follows the kernel's conditioning. Each pmf entry is
+    /// `exp(k·ln λ − λ − ln k!)`. Near the mode the exponent's terms reach
+    /// about `λ·|ln λ|`; for tiny `λ` the `k = 1` term is `ln λ`. The
+    /// exponent's rounding error becomes a relative error in the entry. So
+    /// the relative slack is `2ε·(c(a) + c(b))`, with
+    /// `c(λ) = 1 + |ln λ| + λ·(2|ln λ| + 1)` and `c(0) = 1`. The bound's
+    /// own rounding in the subnormal range adds 4 subnormal ulps.
+    #[test]
+    fn lemma_bound_holds_within_rounding_slack_at_the_edges() {
+        fn c(l: f64) -> f64 {
+            if l == 0.0 {
+                return 1.0;
+            }
+            let ln = l.ln().abs();
+            1.0 + ln + l * (2.0 * ln + 1.0)
+        }
+        let means = [
+            0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-30, 1e-10, 1e-3, 0.5, 9.99, 10.0,
+            100.0, 1e4, 1e6,
+        ];
+        for &a in &means {
+            for &b in &means {
+                for m in [1usize, 2, 3, 4, 8, 64, 4096] {
+                    let e = expression_error_windowed(a, b, m);
+                    let bound = lemma_upper_bound(a, b, m);
+                    let slack =
+                        bound * 2.0 * f64::EPSILON * (c(a) + c(b)) + 4.0 * f64::from_bits(1);
+                    assert!(
+                        e <= bound + slack,
+                        "E_e({a:e}, {b:e}, {m}) = {e:e} above bound {bound:e} + slack {slack:e}"
+                    );
+                }
+            }
+        }
+        // The equality edges hold with no slack at all.
+        assert_eq!(expression_error_windowed(0.0, 0.0, 4), 0.0);
+        assert_eq!(lemma_upper_bound(0.0, 0.0, 4), 0.0);
+        assert_eq!(
+            expression_error_windowed(5e-324, 5e-324, 2),
+            lemma_upper_bound(5e-324, 5e-324, 2)
+        );
+    }
+
     #[test]
     fn mgrid_error_sums_hgrid_errors() {
         let alphas = [1.0, 2.0, 3.0, 4.0];

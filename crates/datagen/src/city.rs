@@ -19,7 +19,7 @@
 //! NYC*; Fig. 10 and Appendix B establish the unevenness ordering we use).
 
 use crate::intensity::IntensityField;
-use crate::sampling::sample_negative_binomial;
+use crate::sampling::{sample_negative_binomial, PreparedRows};
 use crate::temporal::TemporalProfile;
 use gridtuner_spatial::{
     CountMatrix, CountSeries, Event, GeoBounds, GridSpec, Point, SlotClock, SlotId,
@@ -287,6 +287,11 @@ impl City {
     /// draw per (slot, cell) — Poisson, or negative binomial under the
     /// overdispersion knob; per-day shifted weights under the drift knob.
     /// This is the model-training view of the city.
+    ///
+    /// Poisson draws come from means prepared once per (slot total, cell)
+    /// and reused by every slot with the same total (under drift, only
+    /// within a day); the counts are bit-identical to one
+    /// [`sample_poisson`](crate::sample_poisson) call per draw.
     pub fn sample_count_series<R: Rng + ?Sized>(
         &self,
         spec: GridSpec,
@@ -295,6 +300,7 @@ impl City {
     ) -> CountSeries {
         let base_weights = self.cell_weights(spec);
         let mut day_weights: Option<(u32, Vec<f64>)> = None;
+        let mut prepared = PreparedRows::default();
         let mut series = CountSeries::zeros(spec.side(), n_slots);
         for t in 0..n_slots {
             let slot = SlotId(t as u32);
@@ -306,6 +312,7 @@ impl City {
                 if day_weights.as_ref().map(|(d, _)| *d) != Some(day) {
                     let w = self.drifted_intensity(day).cell_weights(spec);
                     day_weights = Some((day, w));
+                    prepared.clear();
                 }
                 match &day_weights {
                     Some((_, w)) => w,
@@ -313,8 +320,15 @@ impl City {
                 }
             };
             let out = series.slot_mut(slot);
-            for (cell, &w) in weights.iter().enumerate() {
-                out[cell] = self.draw_count(rng, w * total) as f64;
+            if self.overdispersion == 0.0 {
+                for (o, p) in out.iter_mut().zip(prepared.row(weights, total)) {
+                    *o = p.sample(rng) as f64;
+                }
+            } else {
+                // Each draw mixes its own Gamma rate: nothing to prepare.
+                for (o, &w) in out.iter_mut().zip(weights) {
+                    *o = self.draw_count(rng, w * total) as f64;
+                }
             }
         }
         series

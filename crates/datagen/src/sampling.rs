@@ -10,25 +10,161 @@
 //! the robustness harness's overdispersion knob: `Var = μ + φ·μ²`, with
 //! `φ = 0` dispatching straight to [`sample_poisson`] so the knob's off
 //! position is bit-identical to the Poisson seed path.
+//!
+//! A count series draws from few distinct means many times over, so
+//! [`sample_poisson`] is split into `PreparedPoisson::new(λ)` (the
+//! per-mean constants) and `.sample(rng)` (the draw), and
+//! `City::sample_count_series` keeps one prepared row per distinct slot
+//! total in a `PreparedRows` map. There is still one Knuth and one PTRS
+//! body, so both paths draw the same bits.
 
-use gridtuner_core::poisson::ln_gamma;
+use gridtuner_core::poisson::ln_factorial;
 use rand::Rng;
+use std::collections::HashMap;
 
 /// Threshold between the inversion and rejection regimes.
 const PTRS_THRESHOLD: f64 = 10.0;
 
 /// Draws one sample from `Pois(lambda)`. Exact for all `lambda ≥ 0`.
 pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    assert!(
-        lambda >= 0.0 && lambda.is_finite(),
-        "Poisson mean must be finite and non-negative, got {lambda}"
-    );
-    if lambda == 0.0 {
-        0
-    } else if lambda < PTRS_THRESHOLD {
-        sample_knuth(rng, lambda)
-    } else {
-        sample_ptrs(rng, lambda)
+    PreparedPoisson::new(lambda).sample(rng)
+}
+
+/// A Poisson mean with its per-mean constants computed once: Knuth's
+/// `e^{-λ}` limit, or PTRS's `ln λ`, `a`, `b`, `1/α` and `v_r`. Drawing
+/// from a prepared mean consumes exactly the uniforms, and returns exactly
+/// the count, that [`sample_poisson`] would at the same mean — it *is*
+/// `sample_poisson`'s body, split at the point where the first uniform is
+/// drawn.
+#[derive(Debug)]
+pub(crate) enum PreparedPoisson {
+    /// `λ = 0`: the point mass at zero, drawn without a uniform.
+    Zero,
+    /// Knuth's multiplication method for `0 < λ < 10`: count uniforms
+    /// until their product drops to `limit = e^{-λ}`.
+    Knuth { limit: f64 },
+    /// Hörmann's PTRS ("Poisson Transformed Rejection with Squeeze") for
+    /// `λ ≥ 10`.
+    Ptrs {
+        lambda: f64,
+        ln_lambda: f64,
+        a: f64,
+        b: f64,
+        inv_alpha: f64,
+        v_r: f64,
+    },
+}
+
+impl PreparedPoisson {
+    /// Prepares `Pois(lambda)`; panics unless `lambda` is finite and
+    /// non-negative.
+    pub(crate) fn new(lambda: f64) -> Self {
+        assert!(
+            lambda >= 0.0 && lambda.is_finite(),
+            "Poisson mean must be finite and non-negative, got {lambda}"
+        );
+        if lambda == 0.0 {
+            return PreparedPoisson::Zero;
+        }
+        if lambda < PTRS_THRESHOLD {
+            return PreparedPoisson::Knuth {
+                limit: (-lambda).exp(),
+            };
+        }
+        let b = 0.931 + 2.53 * lambda.sqrt();
+        PreparedPoisson::Ptrs {
+            lambda,
+            ln_lambda: lambda.ln(),
+            a: -0.059 + 0.024_83 * b,
+            b,
+            inv_alpha: 1.123_9 + 1.132_8 / (b - 3.4),
+            v_r: 0.927_7 - 3.622_4 / (b - 2.0),
+        }
+    }
+
+    /// Draws one count.
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        match *self {
+            PreparedPoisson::Zero => 0,
+            PreparedPoisson::Knuth { limit } => {
+                let mut k = 0u64;
+                let mut p = 1.0f64;
+                loop {
+                    p *= rng.gen::<f64>();
+                    if p <= limit {
+                        return k;
+                    }
+                    k += 1;
+                }
+            }
+            PreparedPoisson::Ptrs {
+                lambda,
+                ln_lambda,
+                a,
+                b,
+                inv_alpha,
+                v_r,
+            } => loop {
+                let u = rng.gen::<f64>() - 0.5;
+                let v = rng.gen::<f64>();
+                let us = 0.5 - u.abs();
+                let k = ((2.0 * a / us + b) * u + lambda + 0.43).floor();
+                if us >= 0.07 && v <= v_r {
+                    return k as u64;
+                }
+                if k < 0.0 || (us < 0.013 && v > us) {
+                    continue;
+                }
+                // `ln_factorial(k)` is `ln_gamma(k + 1)`, bit for bit, for
+                // every `k` a `u64` count can hold.
+                if (v * inv_alpha / (a / (us * us) + b)).ln()
+                    <= k * ln_lambda - lambda - ln_factorial(k as u64)
+                {
+                    return k as u64;
+                }
+            },
+        }
+    }
+}
+
+/// At most this many prepared means (~14 MiB) are kept per count series.
+/// Past it, each slot's row is prepared into one scratch row, which costs
+/// what the per-draw path did.
+const PREPARED_BUDGET: usize = 1 << 18;
+
+/// The prepared means of the rows `weights · total` of one count series,
+/// keyed by the bits of `total`. Valid while `weights` stays the same:
+/// [`clear`](Self::clear) whenever it changes.
+#[derive(Debug, Default)]
+pub(crate) struct PreparedRows {
+    rows: HashMap<u64, Vec<PreparedPoisson>>,
+    kept: usize,
+    scratch: Vec<PreparedPoisson>,
+}
+
+impl PreparedRows {
+    /// `PreparedPoisson::new(w * total)` for every `w` in `weights`.
+    pub(crate) fn row(&mut self, weights: &[f64], total: f64) -> &[PreparedPoisson] {
+        let prepare = |w: &f64| PreparedPoisson::new(w * total);
+        let key = total.to_bits();
+        if !self.rows.contains_key(&key) && self.kept + weights.len() <= PREPARED_BUDGET {
+            self.kept += weights.len();
+            self.rows.insert(key, weights.iter().map(prepare).collect());
+        }
+        match self.rows.get(&key) {
+            Some(row) => row,
+            None => {
+                self.scratch.clear();
+                self.scratch.extend(weights.iter().map(prepare));
+                &self.scratch
+            }
+        }
+    }
+
+    /// Forgets every row: the weights changed.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.kept = 0;
     }
 }
 
@@ -86,47 +222,6 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Knuth's multiplication method: count uniforms until their product drops
-/// below `e^{-λ}`.
-fn sample_knuth<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    let limit = (-lambda).exp();
-    let mut k = 0u64;
-    let mut p = 1.0f64;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= limit {
-            return k;
-        }
-        k += 1;
-    }
-}
-
-/// Hörmann's PTRS ("Poisson Transformed Rejection with Squeeze"), valid for
-/// `λ ≥ 10`.
-fn sample_ptrs<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    let ln_lambda = lambda.ln();
-    let b = 0.931 + 2.53 * lambda.sqrt();
-    let a = -0.059 + 0.024_83 * b;
-    let inv_alpha = 1.123_9 + 1.132_8 / (b - 3.4);
-    let v_r = 0.927_7 - 3.622_4 / (b - 2.0);
-    loop {
-        let u = rng.gen::<f64>() - 0.5;
-        let v = rng.gen::<f64>();
-        let us = 0.5 - u.abs();
-        let k = ((2.0 * a / us + b) * u + lambda + 0.43).floor();
-        if us >= 0.07 && v <= v_r {
-            return k as u64;
-        }
-        if k < 0.0 || (us < 0.013 && v > us) {
-            continue;
-        }
-        if (v * inv_alpha / (a / (us * us) + b)).ln() <= k * ln_lambda - lambda - ln_gamma(k + 1.0)
-        {
-            return k as u64;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,16 +273,17 @@ mod tests {
 
     #[test]
     fn ptrs_matches_knuth_distribution_at_threshold() {
-        // Both regimes at λ≈10 should produce statistically indistinguishable
-        // tails; compare empirical P(X ≤ 10).
+        // Both regimes at λ≈10 (9.99 takes Knuth, 10.01 takes PTRS) should
+        // produce statistically indistinguishable tails; compare empirical
+        // P(X ≤ 10).
         let n = 120_000;
         let mut rng = StdRng::seed_from_u64(5);
         let below_knuth = (0..n)
-            .filter(|_| sample_knuth(&mut rng, 9.99) <= 10)
+            .filter(|_| sample_poisson(&mut rng, 9.99) <= 10)
             .count() as f64
             / n as f64;
         let below_ptrs = (0..n)
-            .filter(|_| sample_ptrs(&mut rng, 10.01) <= 10)
+            .filter(|_| sample_poisson(&mut rng, 10.01) <= 10)
             .count() as f64
             / n as f64;
         assert!(
@@ -213,6 +309,14 @@ mod tests {
     fn negative_mean_rejected() {
         let mut rng = StdRng::seed_from_u64(1);
         sample_poisson(&mut rng, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Poisson mean must be finite and non-negative, got NaN")]
+    fn prepared_rows_check_every_distinct_mean() {
+        let mut rows = PreparedRows::default();
+        assert_eq!(rows.row(&[0.25, 0.75], 8.0).len(), 2);
+        rows.row(&[0.25, 0.75], f64::NAN);
     }
 
     #[test]

@@ -106,16 +106,15 @@ impl<F: FnMut() -> Box<dyn Predictor>> CityModelError<F> {
 
     /// Fallible [`measure`](Self::measure): evaluation failures surface as
     /// typed errors instead of panics.
+    ///
+    /// The returned series ends at the last slot the fit or the evaluation
+    /// reads: the end of training, or the last evaluated validation slot if
+    /// that is later, and never past the validation window. Slots are drawn
+    /// in order from one generator, so the slots it does hold are
+    /// bit-identical to a series sampled over the whole validation window.
     pub fn try_measure(&mut self, side: u32) -> Result<(f64, CountSeries), PredictError> {
         let _span = gridtuner_obs::span!("model_error", side = side);
         let clock = *self.city.clock();
-        let spec = GridSpec::new(side);
-        let horizon = (self.split.val_days.1 * clock.slots_per_day()) as usize;
-        let mut rng = StdRng::seed_from_u64(self.seed ^ (side as u64) << 32);
-        let series = self.city.sample_count_series(spec, horizon, &mut rng);
-        let mut model = (self.factory)();
-        let train_end = clock.slot_at(self.split.train_days.1, 0);
-        model.fit(&series, &clock, train_end);
         // Evaluate only slots with a full feature window for the richest
         // model we ship (closeness 8 ⇒ the first day of validation always
         // qualifies).
@@ -130,6 +129,22 @@ impl<F: FnMut() -> Box<dyn Predictor>> CityModelError<F> {
         if self.max_eval_slots > 0 && slots.len() > self.max_eval_slots {
             slots.truncate(self.max_eval_slots);
         }
+        let train_end = clock.slot_at(self.split.train_days.1, 0);
+        // The fit reads slots before `train_end`, capped at the validation
+        // window's end like every other read.
+        let window_end = (self.split.val_days.1 * clock.slots_per_day()) as usize;
+        let horizon = slots
+            .iter()
+            .map(|s| s.index() + 1)
+            .fold(train_end.index().min(window_end), usize::max);
+        let mut rng = StdRng::seed_from_u64(self.seed ^ (side as u64) << 32);
+        let series = {
+            let _sample = gridtuner_obs::span!("model_error.sample", slots = horizon);
+            self.city
+                .sample_count_series(GridSpec::new(side), horizon, &mut rng)
+        };
+        let mut model = (self.factory)();
+        model.fit(&series, &clock, train_end);
         let err = try_total_model_error(model.as_mut(), &series, &clock, &slots)?;
         Ok((err, series))
     }
@@ -233,6 +248,31 @@ mod tests {
             err < 0.8 * zero_err,
             "MLP err {err} vs zero-predictor {zero_err}"
         );
+    }
+
+    #[test]
+    fn measured_series_ends_at_the_last_slot_read_and_keeps_its_bits() {
+        let mk = || Box::new(HistoricalAverage::new()) as Box<dyn Predictor>;
+        let city = tiny_city();
+        let clock = *city.clock();
+        let mut oracle =
+            CityModelError::new(city.clone(), tiny_split(), 42, mk).with_max_eval_slots(8);
+        let (_, series) = oracle.measure(4);
+        // Validation starts on day 15, past the richest feature window, so
+        // the eight evaluated slots are the first eight of day 15.
+        assert_eq!(series.n_slots(), clock.slot_at(15, 8).index());
+        let mut rng = StdRng::seed_from_u64(42 ^ 4u64 << 32);
+        let full = city.sample_count_series(GridSpec::new(4), 17 * 48, &mut rng);
+        for t in 0..series.n_slots() {
+            let slot = SlotId(t as u32);
+            let (got, want) = (series.slot(slot), full.slot(slot));
+            assert!(
+                got.iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "slot {t} differs from the full-window draw"
+            );
+        }
     }
 
     #[test]

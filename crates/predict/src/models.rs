@@ -114,20 +114,21 @@ impl Predictor for HistoricalAverage {
                 *acc += v;
             }
         }
+        for (table, counts) in sums.iter_mut().zip(&counts) {
+            for (row, &c) in table.iter_mut().zip(counts) {
+                if c > 0 {
+                    for v in row {
+                        *v /= c as f64;
+                    }
+                }
+            }
+        }
         for wk in 0..2 {
             for sod in 0..spd {
-                let c = counts[wk][sod];
-                if c > 0 {
-                    for v in &mut sums[wk][sod] {
-                        *v /= c as f64;
-                    }
-                } else if counts[1 - wk][sod] > 0 {
-                    // No days of this kind seen: borrow the other table.
+                if counts[wk][sod] == 0 && counts[1 - wk][sod] > 0 {
+                    // No days of this kind seen: borrow the other table's
+                    // (already averaged) means.
                     sums[wk][sod] = sums[1 - wk][sod].clone();
-                    let c = counts[1 - wk][sod];
-                    for v in &mut sums[wk][sod] {
-                        *v /= c as f64;
-                    }
                 }
             }
         }
@@ -561,6 +562,21 @@ mod tests {
         let we = ha.predict(&series, &clock, clock.slot_at(19, 5)); // Saturday
         assert!((wd.as_slice()[0] - 10.0).abs() < 1e-9);
         assert!((we.as_slice()[0] - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn historical_average_borrows_weekday_means_for_unseen_weekends() {
+        // Five training days, Monday to Friday: the weekend table has no
+        // data and must predict the weekday mean, averaged once.
+        let clock = SlotClock::default();
+        let mut series = CountSeries::zeros(2, 48 * 7);
+        for t in 0..48 * 5 {
+            series.slot_mut(SlotId(t)).fill(3.0);
+        }
+        let mut ha = HistoricalAverage::new();
+        ha.fit(&series, &clock, SlotId(48 * 5));
+        let we = ha.predict(&series, &clock, clock.slot_at(5, 12)); // Saturday
+        assert_eq!(we.as_slice(), &[3.0; 4]);
     }
 
     #[test]
